@@ -30,13 +30,31 @@ class LabeledExample:
 
 @dataclass
 class Dataset:
-    train: list[LabeledExample]
-    test: list[LabeledExample]
+    """Features as (rows, dim) matrices and labels as int arrays, per split.
+
+    Everything downstream of loading refers to training rows by their
+    index into X_train.
+    """
+
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
     num_classes: int
     dim: int
     # coarse labels are kept only for CIFAR so records can be reserialized
     train_coarse: np.ndarray | None = None
     test_coarse: np.ndarray | None = None
+
+    # Per-row views for readers that predate the arrays; cilbench itself
+    # never builds them.
+    @property
+    def train(self) -> list[LabeledExample]:
+        return [LabeledExample(x, int(c)) for x, c in zip(self.X_train, self.y_train)]
+
+    @property
+    def test(self) -> list[LabeledExample]:
+        return [LabeledExample(x, int(c)) for x, c in zip(self.X_test, self.y_test)]
 
 
 @dataclass(frozen=True)
@@ -71,8 +89,7 @@ class StreamSpec:
 class TaskBatch:
     task_index: int
     major_classes: set[int]
-    examples: list[LabeledExample]
-    example_indices: list[int]  # positions into Dataset.train
+    example_indices: np.ndarray  # rows of Dataset.X_train
     warnings: list[str] = field(default_factory=list)
 
 
@@ -111,7 +128,9 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
     """Load a CIFAR-100 binary file (train.bin / test.bin layout).
 
     Each record is [coarse][fine][1024 R][1024 G][1024 B]; pixel bytes
-    are scaled to [0, 1] floats and the fine label is used as the class.
+    are scaled to [0, 1] float32 and the fine label is used as the class.
+    The class count is the largest fine label + 1, so a file holding a
+    subset of the 100 labels runs as a smaller problem.
     """
     if split not in ("train", "test"):
         raise ConfigurationError(f"split must be 'train' or 'test', got {split!r}")
@@ -129,17 +148,14 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
         bad = int(np.argmax(fine >= CIFAR_NUM_CLASSES))
         raise DataError(f"{path}: record {bad} has fine label {fine[bad]} >= 100")
     pixels = arr[:, 2:].astype(np.float32) / 255.0
-    examples = [LabeledExample(pixels[i], int(fine[i])) for i in range(n)]
+    # the other split is empty
     ds = Dataset(
-        train=examples if split == "train" else [],
-        test=examples if split == "test" else [],
-        num_classes=CIFAR_NUM_CLASSES,
-        dim=CIFAR_PIXELS,
+        pixels[:0], fine[:0], pixels[:0], fine[:0], int(fine.max()) + 1, CIFAR_PIXELS
     )
     if split == "train":
-        ds.train_coarse = coarse
+        ds.X_train, ds.y_train, ds.train_coarse = pixels, fine, coarse
     else:
-        ds.test_coarse = coarse
+        ds.X_test, ds.y_test, ds.test_coarse = pixels, fine, coarse
     return ds
 
 
@@ -177,9 +193,9 @@ def make_blobs(
         center_box = 10.0 * spread * num_classes ** (1.0 / dim)
     centers = rng.uniform(0.0, center_box, size=(num_classes, dim))
 
-    train: list[LabeledExample] = []
-    test: list[LabeledExample] = []
+    X_train, X_test = [], []
     n_out = _round_half_up(outlier_fraction * per_class)
+    n_train = int(per_class * 0.8)
     for c in range(num_classes):
         pts = centers[c] + rng.normal(0.0, spread, size=(per_class, dim))
         if n_out > 0:
@@ -189,12 +205,17 @@ def make_blobs(
             radius = rng.uniform(*outlier_reach, size=(n_out, 1)) * spread
             pts[which] = centers[c] + direction * radius
         order = rng.permutation(per_class)
-        n_train = int(per_class * 0.8)
-        for i in order[:n_train]:
-            train.append(LabeledExample(pts[i].copy(), c))
-        for i in order[n_train:]:
-            test.append(LabeledExample(pts[i].copy(), c))
-    return Dataset(train=train, test=test, num_classes=num_classes, dim=dim)
+        X_train.append(pts[order[:n_train]])
+        X_test.append(pts[order[n_train:]])
+    classes = np.arange(num_classes, dtype=np.int64)
+    return Dataset(
+        np.concatenate(X_train),
+        classes.repeat(n_train),
+        np.concatenate(X_test),
+        classes.repeat(per_class - n_train),
+        num_classes,
+        dim,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +229,10 @@ def _class_order(spec: StreamSpec, num_classes: int) -> list[int]:
     return [int(c) for c in rng.permutation(num_classes)]
 
 
-def _indices_by_class(ds: Dataset) -> dict[int, list[int]]:
-    by_class: dict[int, list[int]] = {}
-    for i, ex in enumerate(ds.train):
-        by_class.setdefault(ex.label, []).append(i)
-    return by_class
+def _rows_of(y: np.ndarray, classes) -> np.ndarray:
+    """Rows with a label in classes, grouped by ascending class, each group
+    in row order."""
+    return np.concatenate([np.flatnonzero(y == c) for c in sorted(classes)])
 
 
 def make_disjoint_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
@@ -221,22 +241,13 @@ def make_disjoint_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
         raise ConfigurationError("make_disjoint_stream requires mode='disjoint'")
     spec.validate(ds.num_classes)
     order = _class_order(spec, ds.num_classes)
-    by_class = _indices_by_class(ds)
     q = spec.classes_per_task
     tasks = []
     for t in range(ds.num_classes // q):
         majors = set(order[t * q : (t + 1) * q])
-        idx = [i for c in sorted(majors) for i in by_class.get(c, [])]
+        idx = _rows_of(ds.y_train, majors)
         rng = np.random.default_rng([spec.seed, 0x7A5C, t])
-        idx = [idx[j] for j in rng.permutation(len(idx))]
-        tasks.append(
-            TaskBatch(
-                task_index=t,
-                major_classes=majors,
-                examples=[ds.train[i] for i in idx],
-                example_indices=idx,
-            )
-        )
+        tasks.append(TaskBatch(t, majors, idx[rng.permutation(len(idx))]))
     return tasks
 
 
@@ -255,58 +266,47 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
         raise ConfigurationError("fuzzy mode requires 0 < fuzz_percent < 100")
     spec.validate(ds.num_classes)
     order = _class_order(spec, ds.num_classes)
-    by_class = _indices_by_class(ds)
+    labels = ds.y_train
     q = spec.classes_per_task
     z = spec.fuzz_percent / 100.0
     num_tasks = ds.num_classes // q
 
     major_sets = [set(order[t * q : (t + 1) * q]) for t in range(num_tasks)]
-    majors: list[list[int]] = []
+    majors: list[np.ndarray] = []
     minor_counts: list[int] = []
-    donor_pool: set[int] = set()
+    donor = np.zeros(len(labels), dtype=bool)
     # reserve each task's major portion first so later tasks keep full pools
     for t in range(num_tasks):
-        pool = [i for c in sorted(major_sets[t]) for i in by_class.get(c, [])]
+        pool = _rows_of(labels, major_sets[t])
         task_size = len(pool)
         n_minor = _round_half_up(z * task_size)
         n_major = task_size - n_minor
         rng = np.random.default_rng([spec.seed, 0xFA22, t])
         picked = rng.permutation(len(pool))
-        majors.append([pool[j] for j in picked[:n_major]])
-        donor_pool.update(pool[j] for j in picked[n_major:])
+        majors.append(pool[picked[:n_major]])
+        donor[pool[picked[n_major:]]] = True
         minor_counts.append(n_minor)
 
-    labels = np.array([ex.label for ex in ds.train])
     tasks = []
     for t in range(num_tasks):
         warnings: list[str] = []
         rng = np.random.default_rng([spec.seed, 0x31B0, t])
-        eligible = sorted(i for i in donor_pool if labels[i] not in major_sets[t])
+        other = ~np.isin(labels, list(major_sets[t]))
+        eligible = np.flatnonzero(donor & other)
         need = minor_counts[t]
         if len(eligible) >= need:
-            take = rng.choice(len(eligible), size=need, replace=False)
-            minors = [eligible[j] for j in take]
+            minors = eligible[rng.choice(len(eligible), size=need, replace=False)]
         else:
-            minors = list(eligible)
-            fallback = [i for i in range(len(ds.train)) if labels[i] not in major_sets[t]]
+            fallback = np.flatnonzero(other)
             extra = rng.choice(len(fallback), size=need - len(eligible), replace=True)
-            minors += [fallback[j] for j in extra]
+            minors = np.concatenate([eligible, fallback[extra]])
             warnings.append(
                 f"task {t}: minor pool exhausted, sampled "
                 f"{need - len(eligible)} examples with replacement"
             )
-        donor_pool.difference_update(minors)
-        idx = majors[t] + minors
-        idx = [idx[j] for j in rng.permutation(len(idx))]
-        tasks.append(
-            TaskBatch(
-                task_index=t,
-                major_classes=major_sets[t],
-                examples=[ds.train[i] for i in idx],
-                example_indices=idx,
-                warnings=warnings,
-            )
-        )
+        donor[minors] = False
+        idx = np.concatenate([majors[t], minors])
+        tasks.append(TaskBatch(t, major_sets[t], idx[rng.permutation(len(idx))], warnings))
     return tasks
 
 
@@ -323,12 +323,9 @@ def stream_manifest(tasks: list[TaskBatch]) -> str:
             {
                 "task_index": t.task_index,
                 "major_classes": sorted(t.major_classes),
-                "example_indices": t.example_indices,
+                "example_indices": t.example_indices.tolist(),
             }
             for t in tasks
         ]
     )
 
-
-def features_matrix(examples: list[LabeledExample]) -> np.ndarray:
-    return np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])

@@ -16,19 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learner, sampler
-from .data import (
-    Dataset,
-    LabeledExample,
-    StreamSpec,
-    TaskBatch,
-    features_matrix,
-    load_cifar100,
-    make_blobs,
-    make_stream,
-)
+from .data import Dataset, StreamSpec, load_cifar100, make_blobs, make_stream
 from .errors import ConfigurationError
 from .learner import LossConfig, MlpModel, TrainConfig
-from .reduce import TsneConfig, pca_reduce, tsne_reduce
+from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
 from .sampler import ExemplarStore, SamplerParams, allocate_quota
 
 # role tags for deterministic per-module seed derivation
@@ -67,6 +58,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Check every field, nested specs included, before any data is
+        touched; a value of the wrong type is a ConfigurationError too."""
         if self.dataset not in ("blobs", "cifar100"):
             raise ConfigurationError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not self.cifar_train_path:
@@ -77,13 +70,18 @@ class RunConfig:
             raise ConfigurationError(f"unknown reducer {self.reducer!r}")
         if self.classifier not in ("softmax_head", "nme"):
             raise ConfigurationError(f"unknown classifier {self.classifier!r}")
-        if self.memory_budget < 1:
-            raise ConfigurationError("memory_budget must be >= 1")
-        input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
-        if self.reducer == "none" and input_dim > 3:
-            raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
-        self.loss.validate()
-        self.train.validate()
+        try:
+            if self.memory_budget < 1:
+                raise ConfigurationError("memory_budget must be >= 1")
+            input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
+            if self.reducer == "none" and input_dim > 3:
+                raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
+            self.sampler_params.validate()
+            self.tsne.validate()
+            self.loss.validate()
+            self.train.validate()
+        except TypeError as exc:
+            raise ConfigurationError(f"bad config: {exc}") from exc
 
 
 @dataclass
@@ -133,16 +131,13 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     ds = load_cifar100(cfg.cifar_train_path, "train")
     if cfg.cifar_test_path:
         test = load_cifar100(cfg.cifar_test_path, "test")
-        ds.test = test.test
-        ds.test_coarse = test.test_coarse
+        ds.X_test, ds.y_test, ds.test_coarse = test.X_test, test.y_test, test.test_coarse
     return ds
 
 
 def _reduce_class(cfg: RunConfig, feats: np.ndarray, task: int, cls: int):
     if cfg.reducer == "none":
-        from .reduce import Embedding
-
-        return Embedding(points=feats.copy(), source_indices=np.arange(len(feats)))
+        return Embedding(points=feats)
     if cfg.reducer == "pca":
         return pca_reduce(feats, min(cfg.reduce_dim, min(feats.shape)))
     tsne_cfg = dataclasses.replace(
@@ -169,30 +164,26 @@ def _select_exemplars(
 
 def evaluate(
     model: MlpModel,
-    pool: list[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
     classifier: str = "softmax_head",
     class_means: dict[int, np.ndarray] | None = None,
     slot_to_class: list[int] | None = None,
 ) -> float:
-    """Accuracy on a test pool with either the softmax head or NME."""
-    if not pool:
+    """Accuracy on test rows X with labels y, by the softmax head or NME."""
+    if len(y) == 0:
         raise ConfigurationError("empty evaluation pool")
-    X = features_matrix(pool)
-    truth = np.array([ex.label for ex in pool])
     if classifier == "nme":
         if not class_means:
             raise ConfigurationError("nme classifier requires class means")
-        logits, acts = learner.forward_batch(model, X)
-        feats = acts[-1]
-        pred = np.array([learner.nme_classify(f, class_means) for f in feats])
+        _, acts = learner.forward_batch(model, X)
+        pred = np.array([learner.nme_classify(f, class_means) for f in acts[-1]])
     else:
         logits, _ = learner.forward_batch(model, X)
-        slots = np.argmax(logits, axis=1)
+        pred = np.argmax(logits, axis=1)
         if slot_to_class is not None:
-            pred = np.array([slot_to_class[s] for s in slots])
-        else:
-            pred = slots
-    return float(np.mean(pred == truth))
+            pred = np.asarray(slot_to_class)[pred]
+    return float(np.mean(pred == y))
 
 
 def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
@@ -206,18 +197,20 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
     model: MlpModel | None = None
     teacher: learner.TeacherSnapshot | None = None
     slot_to_class: list[int] = []
-    class_to_slot: dict[int, int] = {}
+    slot_of = np.full(ds.num_classes, -1, dtype=np.int64)  # class -> head slot
     records: list[MetricsRecord] = []
     accuracies: list[float] = []
 
     for task in tasks:
         t0 = time.perf_counter()
         warnings = list(task.warnings)
+        task_rows = task.example_indices
+        task_labels = ds.y_train[task_rows]
 
-        labels_here = sorted({ex.label for ex in task.examples})
-        new_classes = [c for c in labels_here if c not in class_to_slot]
+        labels_here = np.unique(task_labels).tolist()
+        new_classes = [c for c in labels_here if slot_of[c] < 0]
         for c in new_classes:
-            class_to_slot[c] = len(slot_to_class)
+            slot_of[c] = len(slot_to_class)
             slot_to_class.append(c)
         if model is None:
             model = learner.init_mlp(
@@ -231,41 +224,36 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                 model, len(new_classes), _module_seed(cfg.seed, _SEED_MODEL, task.task_index)
             )
 
-        train_data = [
-            LabeledExample(ex.features, class_to_slot[ex.label])
-            for ex in task.examples + store.all_examples()
-        ]
+        stored = [i for c in sorted(store.train_indices) for i in store.train_indices[c]]
+        rows = np.concatenate([task_rows, np.asarray(stored, dtype=np.int64)])
         tcfg = dataclasses.replace(
             cfg.train, seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index)
         )
-        model, _trace = learner.train_task(model, train_data, teacher, cfg.loss, tcfg)
+        model, _trace = learner.train_task(
+            model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher, lcfg=cfg.loss, tcfg=tcfg
+        )
         teacher = learner.snapshot_teacher(model)
 
         # memory update: re-select for classes present, shrink the rest
         quotas = allocate_quota(cfg.memory_budget, len(slot_to_class))
-        for cls in list(store.per_class):
-            store.shrink_class(cls, quotas[class_to_slot[cls]])
-        by_class: dict[int, list[int]] = {}
-        for j, ex in enumerate(task.examples):
-            by_class.setdefault(ex.label, []).append(j)
-        for cls, positions in sorted(by_class.items()):
-            feats = features_matrix([task.examples[j] for j in positions])
+        for cls in list(store.train_indices):
+            store.shrink_class(cls, quotas[slot_of[cls]])
+        for cls in labels_here:
+            class_rows = task_rows[task_labels == cls]
+            feats = ds.X_train[class_rows].astype(np.float64)
             emb = _reduce_class(cfg, feats, task.task_index, cls)
             warnings += [f"class {cls}: {w}" for w in emb.warnings]
-            quota = quotas[class_to_slot[cls]]
+            quota = quotas[slot_of[cls]]
             picked = _select_exemplars(cfg, emb, quota, task.task_index, cls)
-            store.set_class(
-                cls,
-                [task.examples[positions[i]] for i in picked],
-                [task.example_indices[positions[i]] for i in picked],
-            )
+            store.set_class(cls, class_rows[picked], ds.y_train)
 
-        seen = set(slot_to_class)
-        pool = [ex for ex in ds.test if ex.label in seen]
+        seen = np.isin(ds.y_test, slot_to_class)
         class_means = None
         if cfg.classifier == "nme":
-            class_means = exemplar_class_means(model, store)
-        acc = evaluate(model, pool, cfg.classifier, class_means, slot_to_class)
+            class_means = exemplar_class_means(model, ds.X_train, store)
+        acc = evaluate(
+            model, ds.X_test[seen], ds.y_test[seen], cfg.classifier, class_means, slot_to_class
+        )
         accuracies.append(acc)
         records.append(
             MetricsRecord(
@@ -282,13 +270,15 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
     )
 
 
-def exemplar_class_means(model: MlpModel, store: ExemplarStore) -> dict[int, np.ndarray]:
+def exemplar_class_means(
+    model: MlpModel, X_train: np.ndarray, store: ExemplarStore
+) -> dict[int, np.ndarray]:
     """Per-class mean of stored exemplars' penultimate features under model."""
     means: dict[int, np.ndarray] = {}
-    for cls, exemplars in store.per_class.items():
-        if not exemplars:
+    for cls, rows in store.train_indices.items():
+        if not rows:
             continue
-        _, acts = learner.forward_batch(model, features_matrix(exemplars))
+        _, acts = learner.forward_batch(model, X_train[rows])
         means[cls] = acts[-1].mean(axis=0)
     return means
 
@@ -333,30 +323,30 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    d = dict(d)
-    if "blobs" in d:
-        b = dict(d["blobs"])
-        if "outlier_reach" in b:
-            b["outlier_reach"] = tuple(b["outlier_reach"])
-        d["blobs"] = BlobsSpec(**b)
-    if "stream" in d:
-        s = dict(d["stream"])
-        if s.get("class_order") is not None:
-            s["class_order"] = tuple(s["class_order"])
-        d["stream"] = StreamSpec(**s)
-    if "sampler_params" in d:
-        d["sampler_params"] = SamplerParams(**d["sampler_params"])
-    if "tsne" in d:
-        d["tsne"] = TsneConfig(**d["tsne"])
-    if "loss" in d:
-        d["loss"] = LossConfig(**d["loss"])
-    if "train" in d:
-        d["train"] = TrainConfig(**d["train"])
-    if "hidden_sizes" in d:
-        d["hidden_sizes"] = tuple(d["hidden_sizes"])
     try:
+        d = dict(d)
+        if "blobs" in d:
+            b = dict(d["blobs"])
+            if "outlier_reach" in b:
+                b["outlier_reach"] = tuple(b["outlier_reach"])
+            d["blobs"] = BlobsSpec(**b)
+        if "stream" in d:
+            s = dict(d["stream"])
+            if s.get("class_order") is not None:
+                s["class_order"] = tuple(s["class_order"])
+            d["stream"] = StreamSpec(**s)
+        if "sampler_params" in d:
+            d["sampler_params"] = SamplerParams(**d["sampler_params"])
+        if "tsne" in d:
+            d["tsne"] = TsneConfig(**d["tsne"])
+        if "loss" in d:
+            d["loss"] = LossConfig(**d["loss"])
+        if "train" in d:
+            d["train"] = TrainConfig(**d["train"])
+        if "hidden_sizes" in d:
+            d["hidden_sizes"] = tuple(d["hidden_sizes"])
         return RunConfig(**d)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config: {exc}") from exc
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledExample, features_matrix
-from .errors import ConfigurationError, DivergenceError, ShapeError
+from .errors import ConfigurationError, DataError, DivergenceError, ShapeError
 
 _PROB_FLOOR = 1e-12
 
@@ -242,19 +241,23 @@ def batch_loss_and_grads(
 
 def train_task(
     model: MlpModel,
-    data: list[LabeledExample],
-    teacher: TeacherSnapshot | None,
+    X: np.ndarray,
+    y: np.ndarray,
+    teacher: TeacherSnapshot | None = None,
+    *,
     lcfg: LossConfig = LossConfig(),
     tcfg: TrainConfig = TrainConfig(),
 ) -> tuple[MlpModel, list[float]]:
-    """Mini-batch gradient descent with momentum; returns the trained model
-    and the per-epoch mean loss trace.  Deterministic given tcfg.seed."""
+    """Mini-batch gradient descent with momentum on rows X with head-slot
+    labels y; returns the trained model and the per-epoch mean loss trace.
+    Deterministic given tcfg.seed."""
     lcfg.validate()
     tcfg.validate()
-    if not data:
+    y = np.asarray(y)
+    if len(y) == 0:
         raise ConfigurationError("empty training data")
-    X = features_matrix(data)
-    y = np.array([ex.label for ex in data])
+    if len(X) != len(y):
+        raise ShapeError(f"{len(X)} feature rows but {len(y)} labels")
     if np.any(y >= model.num_classes):
         raise ShapeError("label outside model head")
 
@@ -266,9 +269,9 @@ def train_task(
     rng = np.random.default_rng(tcfg.seed)
     trace: list[float] = []
     for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(data))
+        order = rng.permutation(len(y))
         losses = []
-        for start in range(0, len(data), tcfg.batch_size):
+        for start in range(0, len(y), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
             loss, grads = batch_loss_and_grads(model, X[batch], y[batch], teacher, lcfg)
             losses.append(loss * len(batch))
@@ -279,7 +282,7 @@ def train_task(
                 vel[k] = (vW, vb)
                 model.weights[k] -= tcfg.learning_rate * vW
                 model.biases[k] -= tcfg.learning_rate * vb
-        epoch_loss = float(np.sum(losses) / len(data))
+        epoch_loss = float(np.sum(losses) / len(y))
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)
         trace.append(epoch_loss)
@@ -322,14 +325,25 @@ def save_model(model: MlpModel, path: str, meta: dict | None = None) -> None:
 
 
 def load_model(path: str) -> MlpModel:
+    """Inverse of save_model; a truncated or inconsistent file is a DataError."""
     with open(path, "rb") as fh:
-        (n_sizes,) = struct.unpack("<I", fh.read(4))
-        sizes = struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes))
-        struct.unpack("<I", fh.read(4))  # class count, redundant with sizes[-1]
-        weights, biases = [], []
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            weights.append(
-                np.frombuffer(fh.read(8 * a * b), dtype="<f8").reshape(a, b).copy()
-            )
-            biases.append(np.frombuffer(fh.read(8 * b), dtype="<f8").copy())
+        raw = fh.read()
+    n_sizes = struct.unpack_from("<I", raw)[0] if len(raw) >= 4 else 0
+    offset = 8 + 4 * n_sizes
+    if n_sizes < 2 or len(raw) < offset:
+        raise DataError(f"{path}: truncated or malformed checkpoint header")
+    sizes = struct.unpack_from(f"<{n_sizes}I", raw, 4)
+    (num_classes,) = struct.unpack_from("<I", raw, offset - 4)
+    if num_classes != sizes[-1]:
+        raise DataError(f"{path}: class count {num_classes} != head width {sizes[-1]}")
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    expected = offset + 8 * sum(a * b + b for a, b in shapes)
+    if len(raw) != expected:
+        raise DataError(f"{path}: {len(raw)} bytes, header implies {expected}")
+    weights, biases = [], []
+    for a, b in shapes:
+        weights.append(np.frombuffer(raw, "<f8", a * b, offset).reshape(a, b).copy())
+        offset += 8 * a * b
+        biases.append(np.frombuffer(raw, "<f8", b, offset).copy())
+        offset += 8 * b
     return MlpModel(weights=weights, biases=biases)

@@ -21,8 +21,7 @@ _EPS = 1e-12
 
 @dataclass
 class Embedding:
-    points: np.ndarray  # (N, d)
-    source_indices: np.ndarray  # (N,)
+    points: np.ndarray  # (N, d), row i embeds input row i
     warnings: list[str] = field(default_factory=list)
     kl_trace: list[float] | None = None
 
@@ -80,7 +79,7 @@ def pca_reduce(X, d: int) -> Embedding:
         k = np.argmax(np.abs(comp[:, j]))
         if comp[k, j] < 0:
             comp[:, j] = -comp[:, j]
-    return Embedding(points=centered @ comp, source_indices=np.arange(n))
+    return Embedding(points=centered @ comp)
 
 
 def pairwise_sq_dists(Y: np.ndarray) -> np.ndarray:
@@ -158,7 +157,7 @@ def tsne_reduce(X, cfg: TsneConfig = TsneConfig()) -> Embedding:
         emb.warnings.append(f"N={n} < 4: fell back to PCA")
         return emb
     if np.allclose(M, M[0]):
-        emb = Embedding(points=np.zeros((n, d)), source_indices=np.arange(n))
+        emb = Embedding(points=np.zeros((n, d)))
         emb.warnings.append("duplicate-only input: fell back to PCA")
         return emb
 
@@ -187,7 +186,7 @@ def tsne_reduce(X, cfg: TsneConfig = TsneConfig()) -> Embedding:
         trace.append(kl)
     if not np.all(np.isfinite(Y)):
         raise DataError("t-SNE diverged to non-finite coordinates")
-    return Embedding(points=Y, source_indices=np.arange(n), kl_trace=trace)
+    return Embedding(points=Y, kl_trace=trace)
 
 
 def _pad_dims(emb: Embedding, d: int) -> Embedding:
@@ -196,12 +195,3 @@ def _pad_dims(emb: Embedding, d: int) -> Embedding:
         emb.points = np.hstack([emb.points, pad])
     return emb
 
-
-def embedding_to_csv(emb: Embedding) -> str:
-    """CSV dump (index,dim0,dim1,...) for offline plotting."""
-    d = emb.points.shape[1]
-    lines = ["index," + ",".join(f"dim{j}" for j in range(d))]
-    for i in range(emb.points.shape[0]):
-        coords = ",".join(repr(float(v)) for v in emb.points[i])
-        lines.append(f"{int(emb.source_indices[i])},{coords}")
-    return "\n".join(lines) + "\n"

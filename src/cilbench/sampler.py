@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import LabeledExample
 from .errors import ConfigurationError, DataError
 
 
@@ -82,7 +81,9 @@ def diverse_sample(E, p: SamplerParams) -> list[int]:
     selected = [_seed_index(pts)]
     d_sel = dist[selected[0]].copy()
 
-    n_req, radius = p.n, p.r0
+    # with fewer than n other points no radius passes the filter, and the
+    # levels above N - 1 would each end where this one starts
+    n_req, radius = min(p.n, n_pts - 1), p.r0
     bumps = 0
     counts = np.sum(dist <= radius, axis=1) - 1
     while len(selected) < m:
@@ -222,41 +223,37 @@ def allocate_quota(M: int, classes_seen: int) -> list[int]:
 
 @dataclass
 class ExemplarStore:
+    """Per-class exemplars as rows of the training split, in selection order."""
+
     budget: int
-    per_class: dict[int, list[LabeledExample]] = field(default_factory=dict)
     train_indices: dict[int, list[int]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     def total(self) -> int:
-        return sum(len(v) for v in self.per_class.values())
+        return sum(len(v) for v in self.train_indices.values())
 
-    def set_class(
-        self,
-        cls: int,
-        exemplars: list[LabeledExample],
-        indices: list[int] | None = None,
-    ) -> None:
-        for ex in exemplars:
-            if ex.label != cls:
-                raise ConfigurationError(f"label {ex.label} stored under class {cls}")
-        self.per_class[cls] = list(exemplars)
-        self.train_indices[cls] = list(indices) if indices is not None else []
-        if self.total() > self.budget:
+    def set_class(self, cls: int, indices, y_train: np.ndarray) -> None:
+        """Store training rows `indices` (labelled by y_train) as class cls's
+        exemplars.  Labels and budget are checked first, so a rejected call
+        leaves the store as it was."""
+        indices = [int(i) for i in indices]
+        for i in indices:
+            if y_train[i] != cls:
+                raise ConfigurationError(f"label {y_train[i]} stored under class {cls}")
+        kept = self.total() - len(self.train_indices.get(cls, []))
+        if kept + len(indices) > self.budget:
             raise ConfigurationError("exemplar store exceeded its budget")
+        self.train_indices[cls] = indices
 
     def shrink_class(self, cls: int, new_quota: int) -> None:
         """Keep the first new_quota exemplars.  Selection order makes every
         prefix a diverse selection in itself, so truncation is safe."""
         if new_quota < 1:
             raise ConfigurationError("new_quota must be >= 1")
-        if cls not in self.per_class:
+        if cls not in self.train_indices:
             self.warnings.append(f"shrink of absent class {cls} ignored")
             return
-        self.per_class[cls] = self.per_class[cls][:new_quota]
         self.train_indices[cls] = self.train_indices[cls][:new_quota]
-
-    def all_examples(self) -> list[LabeledExample]:
-        return [ex for c in sorted(self.per_class) for ex in self.per_class[c]]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -265,10 +262,10 @@ class ExemplarStore:
                 "classes": [
                     {
                         "class": c,
-                        "indices_into_train": self.train_indices.get(c, []),
-                        "selection_order": list(range(len(self.per_class[c]))),
+                        "indices_into_train": self.train_indices[c],
+                        "selection_order": list(range(len(self.train_indices[c]))),
                     }
-                    for c in sorted(self.per_class)
+                    for c in sorted(self.train_indices)
                 ],
             }
         )

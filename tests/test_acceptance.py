@@ -12,9 +12,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cilbench.cli import main as cli_main
 from cilbench.data import (
     CIFAR_RECORD_BYTES,
-    Dataset,
     StreamSpec,
     load_cifar100,
     make_blobs,
@@ -26,6 +26,7 @@ from cilbench.data import (
 from cilbench.errors import DataError
 from cilbench.harness import (
     RunConfig,
+    config_to_dict,
     outlier_benchmark_config,
     run_and_emit,
     run_experiment,
@@ -127,6 +128,15 @@ def test_04_oracle_round_trip():
             m=int(rng.integers(1, 21)), n=int(rng.integers(0, 5)), r0=r0
         )
         ok &= bool(verify_selection(pts, params, diverse_sample(pts, params)))
+    # classes with no more points than n: no radius passes the filter until
+    # n has been relaxed below the point count
+    for _ in range(100):
+        n_pts = int(rng.integers(1, 6))
+        pts = rng.normal(0, 2, size=(n_pts, 2))
+        params = SamplerParams(
+            m=int(rng.integers(1, 6)), n=int(rng.integers(n_pts, n_pts + 4)), r0=0.5
+        )
+        ok &= bool(verify_selection(pts, params, diverse_sample(pts, params)))
     ok &= time.perf_counter() - t0 < 60
     report("4 oracle round-trip x1000", ok, t0)
 
@@ -181,8 +191,9 @@ def test_07_first_task_rule():
     ds = make_blobs(2, 30, dim=2, spread=0.4, seed=71)
     model = init_mlp(2, (8,), 2, seed=72)
     tcfg = TrainConfig(epochs=8, batch_size=8, seed=73)
-    _, trace_beta = train_task(model, ds.train, None, LossConfig(beta=0.5), tcfg)
-    _, trace_zero = train_task(model, ds.train, None, LossConfig(beta=0.0), tcfg)
+    X, y = ds.X_train, ds.y_train
+    _, trace_beta = train_task(model, X, y, lcfg=LossConfig(beta=0.5), tcfg=tcfg)
+    _, trace_zero = train_task(model, X, y, lcfg=LossConfig(beta=0.0), tcfg=tcfg)
     report("7 first-task rule (bitwise)", trace_beta == trace_zero, t0)
 
 
@@ -192,9 +203,10 @@ def test_08_stream_composition():
     ds = make_blobs(10, 50, dim=2, seed=81)  # 40 train per class
     fuzzy = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10, seed=82))
     for task in fuzzy:
-        minor = sum(1 for ex in task.examples if ex.label not in task.major_classes)
-        ok &= minor == round(0.10 * len(task.examples))
-        ok &= len(task.examples) - minor == round(0.90 * len(task.examples))
+        labels = ds.y_train[task.example_indices]
+        minor = sum(1 for c in labels if c not in task.major_classes)
+        ok &= minor == round(0.10 * len(labels))
+        ok &= len(labels) - minor == round(0.90 * len(labels))
     disjoint = make_disjoint_stream(ds, StreamSpec("disjoint", 2, seed=83))
     for a in disjoint:
         for b in disjoint:
@@ -269,14 +281,9 @@ def test_12_cifar_ingestion(tmp_path):
         rec = raw[i * CIFAR_RECORD_BYTES : (i + 1) * CIFAR_RECORD_BYTES]
         ok &= pack_cifar_record(*parse_cifar_record(rec)) == rec
 
-    # smoke run on a 5-class subset (accuracy not asserted)
+    # smoke run of a 5-label file pair through the CLI (accuracy not asserted)
     test_path = tmp_path / "test.bin"
     synth_file(test_path, 50, 5)
-    loaded_train = load_cifar100(str(train_path), "train")
-    loaded_test = load_cifar100(str(test_path), "test")
-    subset = Dataset(
-        train=loaded_train.train, test=loaded_test.test, num_classes=5, dim=3072
-    )
     cfg = RunConfig(
         dataset="cifar100",
         cifar_train_path=str(train_path),
@@ -287,8 +294,11 @@ def test_12_cifar_ingestion(tmp_path):
         reducer="tsne",
         memory_budget=25,
         train=TrainConfig(epochs=2, batch_size=32),
+        out_dir=str(tmp_path / "out"),
         seed=5,
     )
-    result = run_experiment(cfg, dataset=subset)
-    ok &= len(result.records) == 5
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)))
+    ok &= cli_main(["run", "--config", str(config_path)]) == 0
+    ok &= len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 1 + 5
     report("12 CIFAR ingestion + smoke", ok, t0)

@@ -17,6 +17,7 @@ from cilbench.harness import (
     evaluate,
     exemplar_class_means,
     load_config,
+    load_dataset,
     run_and_emit,
     run_experiment,
 )
@@ -60,18 +61,18 @@ class TestEvaluate:
         ds = make_blobs(2, 20, dim=2, spread=0.1, seed=3, center_box=20.0)
         # constant predictor: all-zero network always yields class 0
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
-        assert evaluate(zero, ds.test) == 0.5
+        assert evaluate(zero, ds.X_test, ds.y_test) == 0.5
 
     def test_empty_pool(self):
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
         with pytest.raises(ConfigurationError):
-            evaluate(zero, [])
+            evaluate(zero, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
     def test_nme_requires_means(self):
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
         ds = make_blobs(2, 10, seed=0)
         with pytest.raises(ConfigurationError):
-            evaluate(zero, ds.test, classifier="nme")
+            evaluate(zero, ds.X_test, ds.y_test, classifier="nme")
 
 
 class TestRunExperiment:
@@ -97,7 +98,7 @@ class TestRunExperiment:
 
     def test_stored_classes_track_tasks_in_disjoint_mode(self):
         result = run_experiment(small_config())
-        assert set(result.store.per_class) == set(result.class_order_seen)
+        assert set(result.store.train_indices) == set(result.class_order_seen)
         assert len(result.class_order_seen) == 4
 
     def test_avg_accuracy_column_consistency(self):
@@ -117,10 +118,11 @@ class TestRunExperiment:
         assert a.store.to_json() == b.store.to_json()
 
     def test_nme_classifier_path(self):
-        result = run_experiment(small_config(classifier="nme"))
+        cfg = small_config(classifier="nme")
+        result = run_experiment(cfg)
         assert all(0.0 <= r.accuracy <= 1.0 for r in result.records)
-        means = exemplar_class_means(result.model, result.store)
-        assert set(means) == set(result.store.per_class)
+        means = exemplar_class_means(result.model, load_dataset(cfg).X_train, result.store)
+        assert set(means) == set(result.store.train_indices)
 
     def test_fuzzy_stream_path(self):
         cfg = small_config(
@@ -204,6 +206,19 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg_dict))
         assert cli_main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"blobs": {"bogus": 1}}, {"sampler_params": {"m": 1, "n": "5"}}],
+        ids=["unknown-field", "wrong-type"],
+    )
+    def test_bad_config_exits_before_training(self, tmp_path, override):
+        out = tmp_path / "out"
+        cfg_dict = {**config_to_dict(small_config(out_dir=str(out))), **override}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg_dict))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
         bad_bin = tmp_path / "bad.bin"

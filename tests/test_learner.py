@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cilbench.data import LabeledExample
-from cilbench.errors import ConfigurationError, ShapeError
+from cilbench.errors import ConfigurationError, DataError, ShapeError
 from cilbench.learner import (
     LossConfig,
     MlpModel,
@@ -214,47 +213,45 @@ class TestBatchGradients:
 
 class TestTraining:
     def _blob_data(self, rng, n=60):
-        data = []
-        for c, center in enumerate([(-2.0, 0.0), (2.0, 0.0)]):
-            pts = rng.normal(center, 0.4, size=(n // 2, 2))
-            data += [LabeledExample(p, c) for p in pts]
-        return data
+        X = np.vstack(
+            [rng.normal(center, 0.4, size=(n // 2, 2)) for center in [(-2.0, 0.0), (2.0, 0.0)]]
+        )
+        return X, np.repeat([0, 1], n // 2)
 
     def test_separable_data_fits(self):
         rng = np.random.default_rng(14)
-        data = self._blob_data(rng)
+        X, y = self._blob_data(rng)
         model = init_mlp(2, (16,), 2, seed=15)
         model, _ = train_task(
-            model, data, None, LossConfig(), TrainConfig(epochs=50, batch_size=16,
-                                                         learning_rate=0.1, momentum=0.9, seed=1)
+            model, X, y, tcfg=TrainConfig(epochs=50, batch_size=16,
+                                          learning_rate=0.1, momentum=0.9, seed=1)
         )
-        acc = np.mean([predict(model, ex.features) == ex.label for ex in data])
+        acc = np.mean([predict(model, x) == label for x, label in zip(X, y)])
         assert acc >= 0.95
 
     def test_first_task_ignores_beta(self):
         rng = np.random.default_rng(16)
-        data = self._blob_data(rng, n=20)
+        X, y = self._blob_data(rng, n=20)
         model = init_mlp(2, (8,), 2, seed=17)
         tcfg = TrainConfig(epochs=5, batch_size=8, seed=2)
-        _, trace_a = train_task(model, data, None, LossConfig(beta=0.5), tcfg)
-        _, trace_b = train_task(model, data, None, LossConfig(beta=0.0), tcfg)
+        _, trace_a = train_task(model, X, y, lcfg=LossConfig(beta=0.5), tcfg=tcfg)
+        _, trace_b = train_task(model, X, y, lcfg=LossConfig(beta=0.0), tcfg=tcfg)
         assert trace_a == trace_b
 
     def test_determinism(self):
         rng = np.random.default_rng(18)
-        data = self._blob_data(rng, n=20)
+        X, y = self._blob_data(rng, n=20)
         model = init_mlp(2, (8,), 2, seed=19)
         tcfg = TrainConfig(epochs=4, batch_size=8, seed=3)
-        m1, t1 = train_task(model, data, None, LossConfig(), tcfg)
-        m2, t2 = train_task(model, data, None, LossConfig(), tcfg)
+        m1, t1 = train_task(model, X, y, tcfg=tcfg)
+        m2, t2 = train_task(model, X, y, tcfg=tcfg)
         assert t1 == t2
         assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
 
     def test_label_outside_head(self):
         model = init_mlp(2, (4,), 2, seed=20)
-        data = [LabeledExample(np.zeros(2), 5)]
         with pytest.raises(ShapeError):
-            train_task(model, data, None, LossConfig(), TrainConfig(epochs=1))
+            train_task(model, np.zeros((1, 2)), np.array([5]), tcfg=TrainConfig(epochs=1))
 
 
 class TestInference:
@@ -284,3 +281,21 @@ class TestCheckpoints:
         assert loaded.layer_sizes() == model.layer_sizes()
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
+
+    def test_truncated_or_inconsistent_file_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(init_mlp(5, (7, 3), 4, seed=22), str(path))
+        raw = path.read_bytes()
+        # empty, inside the size count, inside the sizes, inside the class
+        # count, inside the first weights, one byte short of the last bias
+        for cut in (0, 2, 6, 19, 40, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError):
+                load_model(str(path))
+        # four layer sizes (5, 7, 3, 4) then the class count: claim 5 classes
+        path.write_bytes(raw[:20] + (5).to_bytes(4, "little") + raw[24:])
+        with pytest.raises(DataError, match="class count"):
+            load_model(str(path))
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(DataError):
+            load_model(str(path))

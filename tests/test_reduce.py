@@ -49,7 +49,6 @@ class TestPca:
         X = rng.normal(size=(12, 6))
         a, b = pca_reduce(X, 2), pca_reduce(X, 2)
         assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.source_indices, np.arange(12))
 
     def test_d_out_of_range(self):
         with pytest.raises(ConfigurationError):
@@ -92,7 +91,6 @@ class TestTsne:
         emb = tsne_reduce(X, TsneConfig(iterations=80, seed=1))
         assert emb.points.shape == (24, 2)
         assert np.all(np.isfinite(emb.points))
-        assert np.array_equal(emb.source_indices, np.arange(24))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cilbench.data import LabeledExample
 from cilbench.errors import ConfigurationError, DataError
 from cilbench.sampler import (
     ExemplarStore,
@@ -213,16 +212,15 @@ class TestMemory:
 
     def test_shrink_keeps_prefix(self):
         store = ExemplarStore(budget=100)
-        exemplars = [LabeledExample(np.array([float(i)]), 0) for i in range(50)]
-        store.set_class(0, exemplars, list(range(50)))
+        store.set_class(0, list(range(50)), np.zeros(50, dtype=np.int64))
         store.shrink_class(0, 20)
-        assert [e.features[0] for e in store.per_class[0]] == [float(i) for i in range(20)]
+        assert store.train_indices[0] == list(range(20))
 
     def test_shrink_noop_cases(self):
         store = ExemplarStore(budget=10)
-        store.set_class(1, [LabeledExample(np.zeros(1), 1)], [0])
+        store.set_class(1, [0], np.array([1]))
         store.shrink_class(1, 5)
-        assert len(store.per_class[1]) == 1
+        assert len(store.train_indices[1]) == 1
         store.shrink_class(7, 3)  # absent class: warning, no raise
         assert store.warnings
 
@@ -235,19 +233,24 @@ class TestMemory:
 
     def test_budget_enforced(self):
         store = ExemplarStore(budget=2)
+        y_train = np.array([1, 0, 0, 0])
+        store.set_class(1, [0], y_train)
         with pytest.raises(ConfigurationError):
-            store.set_class(0, [LabeledExample(np.zeros(1), 0)] * 3, [0, 1, 2])
+            store.set_class(0, [1, 2, 3], y_train)
+        # a rejected call stores nothing
+        assert store.train_indices == {1: [0]}
+        assert store.total() == 1
 
     def test_label_mismatch_rejected(self):
         store = ExemplarStore(budget=5)
         with pytest.raises(ConfigurationError):
-            store.set_class(0, [LabeledExample(np.zeros(1), 1)], [0])
+            store.set_class(0, [0], np.array([1]))
 
     def test_json_schema(self):
         import json
 
         store = ExemplarStore(budget=5)
-        store.set_class(2, [LabeledExample(np.zeros(1), 2)] * 2, [4, 9])
+        store.set_class(2, [4, 9], np.full(10, 2))
         dump = json.loads(store.to_json())
         assert dump["budget"] == 5
         assert dump["classes"] == [
