@@ -37,15 +37,8 @@ from .learner import (
     LossConfig,
     MlpModel,
     TrainConfig,
-    ce_loss,
-    cross_distilled_loss,
-    distilled_softmax,
-    forward,
     grow_head,
     init_mlp,
-    kd_loss,
-    nme_classify,
-    predict,
     train_task,
 )
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
@@ -55,7 +48,6 @@ from .sampler import (
     allocate_quota,
     diverse_sample,
     gonzalez_sample,
-    neighbor_count,
     random_sample,
     verify_selection,
 )
@@ -82,26 +74,18 @@ __all__ = [
     "TsneConfig",
     "allocate_quota",
     "average_accuracy",
-    "ce_loss",
-    "cross_distilled_loss",
-    "distilled_softmax",
     "diverse_sample",
     "emit_results",
     "evaluate",
-    "forward",
     "gonzalez_sample",
     "grow_head",
     "init_mlp",
-    "kd_loss",
     "load_cifar100",
     "make_blobs",
     "make_disjoint_stream",
     "make_fuzzy_stream",
     "make_stream",
-    "neighbor_count",
-    "nme_classify",
     "pca_reduce",
-    "predict",
     "random_sample",
     "run_experiment",
     "train_task",

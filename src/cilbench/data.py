@@ -9,7 +9,6 @@ comes from classes that define other tasks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +64,9 @@ class StreamSpec:
     seed: int = 0
     class_order: tuple[int, ...] | None = None
 
-    def validate(self, num_classes: int) -> None:
+    def validate(self, num_classes: int | None = None) -> None:
+        """Check the fields; given the dataset's class count, also check
+        the fields against it."""
         if self.mode not in ("disjoint", "fuzzy"):
             raise ConfigurationError(f"unknown stream mode {self.mode!r}")
         if self.classes_per_task < 1:
@@ -74,15 +75,15 @@ class StreamSpec:
             raise ConfigurationError("disjoint mode requires fuzz_percent == 0")
         if not 0 <= self.fuzz_percent <= 100:
             raise ConfigurationError("fuzz_percent must be in [0, 100]")
-        if num_classes % self.classes_per_task != 0:
+        if num_classes is not None and num_classes % self.classes_per_task != 0:
             raise ConfigurationError(
                 f"{num_classes} classes not divisible by "
                 f"classes_per_task={self.classes_per_task}"
             )
-        if self.class_order is not None and sorted(self.class_order) != list(
-            range(num_classes)
-        ):
-            raise ConfigurationError("class_order must be a permutation of all classes")
+        if self.class_order is not None:
+            n = len(self.class_order) if num_classes is None else num_classes
+            if sorted(self.class_order) != list(range(n)):
+                raise ConfigurationError("class_order must be a permutation of all classes")
 
 
 @dataclass
@@ -101,27 +102,12 @@ def _round_half_up(x: float) -> int:
 # CIFAR-100 binary format
 
 
-def parse_cifar_record(record: bytes) -> tuple[int, int, np.ndarray]:
-    """Split one 3074-byte record into (coarse, fine, pixel bytes)."""
-    if len(record) != CIFAR_RECORD_BYTES:
-        raise DataError(f"record must be {CIFAR_RECORD_BYTES} bytes, got {len(record)}")
-    coarse, fine = record[0], record[1]
-    pixels = np.frombuffer(record, dtype=np.uint8, count=CIFAR_PIXELS, offset=2)
-    return coarse, fine, pixels
-
-
 def pack_cifar_record(coarse: int, fine: int, pixels: np.ndarray) -> bytes:
-    """Inverse of parse_cifar_record; byte-exact round trip."""
+    """One record in the layout load_cifar100 reads; byte-exact round trip."""
     pix = np.asarray(pixels, dtype=np.uint8)
     if pix.size != CIFAR_PIXELS:
         raise DataError(f"expected {CIFAR_PIXELS} pixel bytes, got {pix.size}")
     return bytes([coarse & 0xFF, fine & 0xFF]) + pix.tobytes()
-
-
-def example_to_cifar_record(example: LabeledExample, coarse: int) -> bytes:
-    """Reserialize an example loaded by load_cifar100 back into record bytes."""
-    pixels = np.rint(np.asarray(example.features, dtype=np.float64) * 255.0)
-    return pack_cifar_record(coarse, example.label, pixels.astype(np.uint8))
 
 
 def load_cifar100(path: str, split: str = "train") -> Dataset:
@@ -130,7 +116,9 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
     Each record is [coarse][fine][1024 R][1024 G][1024 B]; pixel bytes
     are scaled to [0, 1] float32 and the fine label is used as the class.
     The class count is the largest fine label + 1, so a file holding a
-    subset of the 100 labels runs as a smaller problem.
+    subset of the 100 labels runs as a smaller problem.  A training file
+    must hold every label below its largest: a class without rows would
+    make an empty task.
     """
     if split not in ("train", "test"):
         raise ConfigurationError(f"split must be 'train' or 'test', got {split!r}")
@@ -147,6 +135,13 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
     if np.any(fine >= CIFAR_NUM_CLASSES):
         bad = int(np.argmax(fine >= CIFAR_NUM_CLASSES))
         raise DataError(f"{path}: record {bad} has fine label {fine[bad]} >= 100")
+    if split == "train":
+        missing = np.setdiff1d(np.arange(fine.max() + 1), fine)
+        if missing.size:
+            raise DataError(
+                f"{path}: no records for fine labels {missing.tolist()} "
+                f"below the largest label {fine.max()}"
+            )
     pixels = arr[:, 2:].astype(np.float32) / 255.0
     # the other split is empty
     ds = Dataset(
@@ -314,18 +309,3 @@ def make_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
     if spec.mode == "disjoint":
         return make_disjoint_stream(ds, spec)
     return make_fuzzy_stream(ds, spec)
-
-
-def stream_manifest(tasks: list[TaskBatch]) -> str:
-    """JSON manifest of a stream: task index, major classes, example indices."""
-    return json.dumps(
-        [
-            {
-                "task_index": t.task_index,
-                "major_classes": sorted(t.major_classes),
-                "example_indices": t.example_indices.tolist(),
-            }
-            for t in tasks
-        ]
-    )
-

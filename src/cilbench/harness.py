@@ -76,6 +76,7 @@ class RunConfig:
             input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
             if self.reducer == "none" and input_dim > 3:
                 raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
+            self.stream.validate()
             self.sampler_params.validate()
             self.tsne.validate()
             self.loss.validate()
@@ -177,7 +178,13 @@ def evaluate(
         if not class_means:
             raise ConfigurationError("nme classifier requires class means")
         _, acts = learner.forward_batch(model, X)
-        pred = np.array([learner.nme_classify(f, class_means) for f in acts[-1]])
+        # one distance per (row, class); argmin takes the first of equal
+        # distances, so ties go to the lower class id
+        classes = sorted(class_means)
+        dist = np.stack(
+            [np.linalg.norm(acts[-1] - class_means[c], axis=1) for c in classes], axis=1
+        )
+        pred = np.asarray(classes)[np.argmin(dist, axis=1)]
     else:
         logits, _ = learner.forward_batch(model, X)
         pred = np.argmax(logits, axis=1)
@@ -190,6 +197,12 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
     """Run the full class-incremental loop over the configured stream."""
     cfg.validate()
     ds = dataset if dataset is not None else load_dataset(cfg)
+    # every class gets a slot by the end of the stream, and each slot needs
+    # at least one exemplar
+    if cfg.memory_budget < ds.num_classes:
+        raise ConfigurationError(
+            f"memory_budget {cfg.memory_budget} below class count {ds.num_classes}"
+        )
     spec = dataclasses.replace(cfg.stream, seed=_module_seed(cfg.seed, _SEED_STREAM, 1))
     tasks = make_stream(ds, spec)
 

@@ -11,13 +11,11 @@ can be validated against finite differences.
 from __future__ import annotations
 
 import copy
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError, ShapeError
+from .errors import ConfigurationError, DivergenceError, ShapeError
 
 _PROB_FLOOR = 1e-12
 
@@ -34,9 +32,6 @@ class MlpModel:
     @property
     def num_classes(self) -> int:
         return self.weights[-1].shape[1]
-
-    def layer_sizes(self) -> list[int]:
-        return [self.input_dim] + [w.shape[1] for w in self.weights]
 
 
 @dataclass
@@ -112,10 +107,8 @@ def grow_head(model: MlpModel, q_new: int, seed: int) -> MlpModel:
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns (logits, activations); activations[k] is the input to layer k."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != model.input_dim:
-        raise ShapeError(f"input width {X.shape[1]} != model width {model.input_dim}")
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ShapeError(f"input shape {X.shape} != (rows, {model.input_dim})")
     acts = [X]
     h = X
     last = len(model.weights) - 1
@@ -125,12 +118,6 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.n
             h = np.maximum(h, 0.0)
             acts.append(h)
     return h, acts
-
-
-def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Single-example forward pass: (logits, penultimate activation)."""
-    logits, acts = forward_batch(model, np.asarray(x))
-    return logits[0], acts[-1][0]
 
 
 def backprop(
@@ -155,48 +142,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def distilled_softmax(logits, T: float, k: int) -> np.ndarray:
-    """Temperature-smoothed softmax over the first k logit components."""
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    logits = np.asarray(logits, dtype=np.float64)
-    if k > logits.shape[-1]:
-        raise ConfigurationError(f"k={k} exceeds logit length {logits.shape[-1]}")
-    if T <= 1.0:
-        raise ConfigurationError("temperature must be > 1")
-    return softmax(logits[..., :k] / T)
-
-
-def ce_loss(probs, target: int) -> float:
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= target < probs.shape[-1]:
-        raise ShapeError(f"target {target} out of range for {probs.shape[-1]} classes")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise ConfigurationError("probs must sum to 1")
-    return float(-np.log(max(float(probs[target]), _PROB_FLOOR)))
-
-
-def kd_loss(teacher_logits, student_logits, T: float) -> float:
-    """Cross-entropy between teacher and student distilled distributions,
-    restricted to the teacher's (old) classes."""
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    student_logits = np.asarray(student_logits, dtype=np.float64)
-    ell = teacher_logits.shape[-1]
-    if ell < 1:
-        raise ConfigurationError("teacher must cover at least one class")
-    if student_logits.shape[-1] < ell:
-        raise ShapeError("student logits shorter than teacher logits")
-    p_teacher = distilled_softmax(teacher_logits, T, ell)
-    p_student = distilled_softmax(student_logits, T, ell)
-    return float(-np.sum(p_teacher * np.log(np.maximum(p_student, _PROB_FLOOR))))
-
-
-def cross_distilled_loss(kd: float, ce: float, beta: float) -> float:
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigurationError("beta must be in [0, 1]")
-    return beta * kd + (1.0 - beta) * ce
 
 
 def batch_loss_and_grads(
@@ -236,7 +181,7 @@ def batch_loss_and_grads(
 
 
 # ---------------------------------------------------------------------------
-# Training / inference
+# Training
 
 
 def train_task(
@@ -258,8 +203,12 @@ def train_task(
         raise ConfigurationError("empty training data")
     if len(X) != len(y):
         raise ShapeError(f"{len(X)} feature rows but {len(y)} labels")
-    if np.any(y >= model.num_classes):
+    if np.any((y < 0) | (y >= model.num_classes)):
         raise ShapeError("label outside model head")
+    if teacher is not None and teacher.num_classes > model.num_classes:
+        raise ShapeError(
+            f"teacher head {teacher.num_classes} wider than student head {model.num_classes}"
+        )
 
     model = copy.deepcopy(model)
     vel = [
@@ -287,63 +236,3 @@ def train_task(
             raise DivergenceError(epoch)
         trace.append(epoch_loss)
     return model, trace
-
-
-def predict(model: MlpModel, x) -> int:
-    logits, _ = forward(model, x)
-    return int(np.argmax(logits))
-
-
-def nme_classify(x_features, class_means: dict[int, np.ndarray]) -> int:
-    """Nearest class mean in feature space; ties break to the lower class id."""
-    if not class_means:
-        raise ConfigurationError("class_means is empty")
-    x = np.asarray(x_features, dtype=np.float64)
-    best_cls, best_d = -1, np.inf
-    for cls in sorted(class_means):
-        d = float(np.linalg.norm(x - np.asarray(class_means[cls], dtype=np.float64)))
-        if d < best_d:
-            best_cls, best_d = cls, d
-    return best_cls
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: binary header (layer sizes, class count) + float64 LE params
-
-
-def save_model(model: MlpModel, path: str, meta: dict | None = None) -> None:
-    sizes = model.layer_sizes()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<I", model.num_classes))
-        for W, b in zip(model.weights, model.biases):
-            fh.write(W.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
-    with open(path + ".json", "w") as fh:
-        json.dump(meta or {}, fh, indent=2, sort_keys=True)
-
-
-def load_model(path: str) -> MlpModel:
-    """Inverse of save_model; a truncated or inconsistent file is a DataError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    n_sizes = struct.unpack_from("<I", raw)[0] if len(raw) >= 4 else 0
-    offset = 8 + 4 * n_sizes
-    if n_sizes < 2 or len(raw) < offset:
-        raise DataError(f"{path}: truncated or malformed checkpoint header")
-    sizes = struct.unpack_from(f"<{n_sizes}I", raw, 4)
-    (num_classes,) = struct.unpack_from("<I", raw, offset - 4)
-    if num_classes != sizes[-1]:
-        raise DataError(f"{path}: class count {num_classes} != head width {sizes[-1]}")
-    shapes = list(zip(sizes[:-1], sizes[1:]))
-    expected = offset + 8 * sum(a * b + b for a, b in shapes)
-    if len(raw) != expected:
-        raise DataError(f"{path}: {len(raw)} bytes, header implies {expected}")
-    weights, biases = [], []
-    for a, b in shapes:
-        weights.append(np.frombuffer(raw, "<f8", a * b, offset).reshape(a, b).copy())
-        offset += 8 * a * b
-        biases.append(np.frombuffer(raw, "<f8", b, offset).copy())
-        offset += 8 * b
-    return MlpModel(weights=weights, biases=biases)

@@ -53,17 +53,6 @@ def _points(E) -> np.ndarray:
     return pts
 
 
-def neighbor_count(E, i: int, r: float) -> int:
-    """Number of other points within Euclidean distance r of point i."""
-    pts = _points(E)
-    if not 0 <= i < pts.shape[0]:
-        raise ConfigurationError(f"index {i} out of range")
-    if r <= 0:
-        raise ConfigurationError("r must be positive")
-    dist = np.linalg.norm(pts - pts[i], axis=1)
-    return int(np.sum(dist <= r)) - 1
-
-
 def _seed_index(pts: np.ndarray) -> int:
     """Row closest to the arithmetic mean; ties break to the lowest index."""
     dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
@@ -130,12 +119,6 @@ def random_sample(N: int, m: int, seed: int) -> list[int]:
         raise ConfigurationError(f"need 1 <= m <= N, got m={m} N={N}")
     rng = np.random.default_rng(seed)
     return [int(i) for i in rng.choice(N, size=m, replace=False)]
-
-
-def covering_radius(E, selection: list[int]) -> float:
-    pts = _points(E)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    return float(dist[:, selection].min(axis=1).max())
 
 
 @dataclass

@@ -21,7 +21,6 @@ from cilbench.data import (
     make_disjoint_stream,
     make_fuzzy_stream,
     pack_cifar_record,
-    parse_cifar_record,
 )
 from cilbench.errors import DataError
 from cilbench.harness import (
@@ -35,19 +34,17 @@ from cilbench.learner import (
     LossConfig,
     TrainConfig,
     batch_loss_and_grads,
-    distilled_softmax,
     init_mlp,
-    kd_loss,
     snapshot_teacher,
     train_task,
 )
 from cilbench.sampler import (
     SamplerParams,
-    covering_radius,
     diverse_sample,
     gonzalez_sample,
     verify_selection,
 )
+from oracles import covering_radius, distilled_softmax, kd_loss
 from test_harness import small_config
 from test_learner import fd_gradient
 from test_sampler import planted_outlier_instance
@@ -275,11 +272,13 @@ def test_12_cifar_ingestion(tmp_path):
     except DataError:
         pass
 
-    # parse -> reserialize is byte-identical for every record
+    # load -> reserialize is byte-identical for every record
     raw = train_path.read_bytes()
+    ds = load_cifar100(str(train_path), "train")
+    pixels = np.rint(ds.X_train.astype(np.float64) * 255.0).astype(np.uint8)
     for i in range(150):
         rec = raw[i * CIFAR_RECORD_BYTES : (i + 1) * CIFAR_RECORD_BYTES]
-        ok &= pack_cifar_record(*parse_cifar_record(rec)) == rec
+        ok &= pack_cifar_record(int(ds.train_coarse[i]), int(ds.y_train[i]), pixels[i]) == rec
 
     # smoke run of a 5-label file pair through the CLI (accuracy not asserted)
     test_path = tmp_path / "test.bin"

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from cilbench import learner
 from cilbench.cli import main as cli_main
-from cilbench.data import StreamSpec, make_blobs
+from cilbench.data import StreamSpec, make_blobs, pack_cifar_record
 from cilbench.errors import ConfigurationError
 from cilbench.harness import (
     BlobsSpec,
@@ -209,10 +210,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "override",
-        [{"blobs": {"bogus": 1}}, {"sampler_params": {"m": 1, "n": "5"}}],
-        ids=["unknown-field", "wrong-type"],
+        [
+            {"blobs": {"bogus": 1}},
+            {"sampler_params": {"m": 1, "n": "5"}},
+            {"stream": {"mode": "disjoint", "classes_per_task": "2"}},
+            {"memory_budget": 3},  # below the 4 classes of small_config
+        ],
+        ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes"],
     )
-    def test_bad_config_exits_before_training(self, tmp_path, override):
+    def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
         out = tmp_path / "out"
         cfg_dict = {**config_to_dict(small_config(out_dir=str(out))), **override}
         path = tmp_path / "bad.json"
@@ -221,13 +228,24 @@ class TestCli:
         assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
-        bad_bin = tmp_path / "bad.bin"
-        bad_bin.write_bytes(b"\x01\x02\x03")
-        cfg = small_config()
-        cfg = dataclasses.replace(
-            cfg, dataset="cifar100", cifar_train_path=str(bad_bin), reducer="pca"
-        )
-        assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 3
+        truncated = tmp_path / "bad.bin"
+        truncated.write_bytes(b"\x01\x02\x03")
+        # 60 well-formed records labelled 0, 2 and 4: classes 1 and 3 are empty
+        gaps = tmp_path / "gaps.bin"
+        rng = np.random.default_rng(0)
+        gaps.write_bytes(b"".join(
+            pack_cifar_record(0, 2 * (i % 3), rng.integers(0, 256, 3072, dtype=np.uint8))
+            for i in range(60)
+        ))
+        out = tmp_path / "out"
+        for bad_bin in (truncated, gaps):
+            cfg = dataclasses.replace(
+                small_config(), dataset="cifar100", cifar_train_path=str(bad_bin),
+                cifar_test_path=str(gaps), reducer="pca",
+                stream=StreamSpec(mode="disjoint", classes_per_task=1), out_dir=str(out),
+            )
+            assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 3
+            assert not out.exists()
 
     def test_ablate_n(self, tmp_path, capsys):
         cfg = small_config(out_dir=str(tmp_path / "abl"))

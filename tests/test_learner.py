@@ -6,27 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cilbench.errors import ConfigurationError, DataError, ShapeError
+from cilbench.errors import ConfigurationError, ShapeError
 from cilbench.learner import (
     LossConfig,
     MlpModel,
     TrainConfig,
     batch_loss_and_grads,
-    ce_loss,
-    cross_distilled_loss,
-    distilled_softmax,
-    forward,
     forward_batch,
     grow_head,
     init_mlp,
-    kd_loss,
-    load_model,
-    nme_classify,
-    predict,
-    save_model,
     snapshot_teacher,
     train_task,
 )
+from oracles import ce_loss, cross_distilled_loss, distilled_softmax, kd_loss, nme_classify
 
 
 def fd_gradient(model, k, idx, X, y, teacher, lcfg, eps=1e-6):
@@ -44,19 +36,19 @@ class TestForward:
             weights=[np.zeros((3, 4)), np.zeros((4, 2))],
             biases=[np.zeros(4), np.zeros(2)],
         )
-        logits, _ = forward(model, np.array([1.0, -2.0, 3.0]))
-        assert np.all(logits == 0.0)
+        logits, _ = forward_batch(model, np.array([[1.0, -2.0, 3.0]]))
+        assert np.all(logits[0] == 0.0)
 
     def test_identity_single_layer(self):
         model = MlpModel(weights=[np.eye(2)], biases=[np.zeros(2)])
-        logits, penult = forward(model, np.array([1.0, 2.0]))
-        assert np.array_equal(logits, [1.0, 2.0])
-        assert np.array_equal(penult, [1.0, 2.0])
+        logits, acts = forward_batch(model, np.array([[1.0, 2.0]]))
+        assert np.array_equal(logits[0], [1.0, 2.0])
+        assert np.array_equal(acts[-1][0], [1.0, 2.0])
 
     def test_width_mismatch(self):
         model = init_mlp(3, (4,), 2, seed=0)
         with pytest.raises(ShapeError):
-            forward(model, np.zeros(5))
+            forward_batch(model, np.zeros((1, 5)))
 
     def test_logit_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -173,8 +165,8 @@ class TestGrowHead:
         model = init_mlp(4, (6,), 3, seed=5)
         grown = grow_head(model, 2, seed=6)
         grown.weights[-1][:, 3:] = 0.0
-        x = np.arange(4.0)
-        assert np.allclose(forward(grown, x)[0][:3], forward(model, x)[0])
+        x = np.arange(4.0)[None, :]
+        assert np.allclose(forward_batch(grown, x)[0][0, :3], forward_batch(model, x)[0][0])
 
     def test_two_grows_equal_one_in_width(self):
         model = init_mlp(3, (4,), 2, seed=0)
@@ -226,7 +218,7 @@ class TestTraining:
             model, X, y, tcfg=TrainConfig(epochs=50, batch_size=16,
                                           learning_rate=0.1, momentum=0.9, seed=1)
         )
-        acc = np.mean([predict(model, x) == label for x, label in zip(X, y)])
+        acc = np.mean(np.argmax(forward_batch(model, X)[0], axis=1) == y)
         assert acc >= 0.95
 
     def test_first_task_ignores_beta(self):
@@ -252,13 +244,23 @@ class TestTraining:
         model = init_mlp(2, (4,), 2, seed=20)
         with pytest.raises(ShapeError):
             train_task(model, np.zeros((1, 2)), np.array([5]), tcfg=TrainConfig(epochs=1))
+        with pytest.raises(ShapeError):
+            train_task(model, np.zeros((1, 2)), np.array([-1]), tcfg=TrainConfig(epochs=1))
+
+    def test_teacher_wider_than_head(self):
+        model = init_mlp(2, (4,), 2, seed=20)
+        teacher = snapshot_teacher(init_mlp(2, (4,), 3, seed=21))
+        with pytest.raises(ShapeError):
+            train_task(
+                model, np.zeros((1, 2)), np.array([0]), teacher, tcfg=TrainConfig(epochs=1)
+            )
 
 
 class TestInference:
     def test_predict_argmax_and_ties(self):
         model = MlpModel(weights=[np.eye(3)], biases=[np.zeros(3)])
-        assert predict(model, np.array([0.1, 3.0, -1.0])) == 1
-        assert predict(model, np.array([0.0, 0.0, 0.0])) == 0
+        logits, _ = forward_batch(model, np.array([[0.1, 3.0, -1.0], [0.0, 0.0, 0.0]]))
+        assert np.argmax(logits, axis=1).tolist() == [1, 0]
 
     def test_nme_exact_mean(self):
         means = {0: np.array([0.0, 0.0]), 1: np.array([10.0, 0.0])}
@@ -271,31 +273,3 @@ class TestInference:
         with pytest.raises(ConfigurationError):
             nme_classify(np.array([0.0]), {})
 
-
-class TestCheckpoints:
-    def test_round_trip(self, tmp_path):
-        model = init_mlp(5, (7, 3), 4, seed=21)
-        path = str(tmp_path / "model.bin")
-        save_model(model, path, {"seed": 21, "note": "test"})
-        loaded = load_model(path)
-        assert loaded.layer_sizes() == model.layer_sizes()
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
-
-    def test_truncated_or_inconsistent_file_rejected(self, tmp_path):
-        path = tmp_path / "model.bin"
-        save_model(init_mlp(5, (7, 3), 4, seed=22), str(path))
-        raw = path.read_bytes()
-        # empty, inside the size count, inside the sizes, inside the class
-        # count, inside the first weights, one byte short of the last bias
-        for cut in (0, 2, 6, 19, 40, len(raw) - 1):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(DataError):
-                load_model(str(path))
-        # four layer sizes (5, 7, 3, 4) then the class count: claim 5 classes
-        path.write_bytes(raw[:20] + (5).to_bytes(4, "little") + raw[24:])
-        with pytest.raises(DataError, match="class count"):
-            load_model(str(path))
-        path.write_bytes(raw + b"\0")
-        with pytest.raises(DataError):
-            load_model(str(path))

@@ -10,13 +10,12 @@ from cilbench.sampler import (
     ExemplarStore,
     SamplerParams,
     allocate_quota,
-    covering_radius,
     diverse_sample,
     gonzalez_sample,
-    neighbor_count,
     random_sample,
     verify_selection,
 )
+from oracles import covering_radius
 
 WORKED = np.array([[0, 0], [1, 0], [0.1, 0], [10, 10]], dtype=float)
 
@@ -47,21 +46,6 @@ def planted_outlier_instance(rng, n_outliers=2):
     perm = rng.permutation(len(pts))
     inverse = np.argsort(perm)
     return pts[perm], {int(inverse[start + k]) for k in range(n_outliers)}
-
-
-class TestNeighborCount:
-    def test_basic(self):
-        pts = np.array([[0, 0], [0.1, 0], [10, 10]], dtype=float)
-        assert neighbor_count(pts, 0, 0.5) == 1
-
-    def test_single_point(self):
-        assert neighbor_count(np.array([[1.0, 2.0]]), 0, 3.0) == 0
-
-    def test_radius_covers_everything(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(9, 2))
-        for i in range(9):
-            assert neighbor_count(pts, i, 1e6) == 8
 
 
 class TestDiverseSample:

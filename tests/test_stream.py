@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,11 @@ from cilbench.data import (
     CIFAR_RECORD_BYTES,
     Dataset,
     StreamSpec,
-    example_to_cifar_record,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
     make_fuzzy_stream,
     pack_cifar_record,
-    parse_cifar_record,
-    stream_manifest,
 )
 from cilbench.errors import ConfigurationError, DataError
 
@@ -26,11 +21,13 @@ def write_cifar_file(path, records):
 
 
 def random_records(n, seed=0, num_fine=100):
+    """n records with random coarse labels and pixels; fine labels cycle
+    through 0..num_fine-1, so no label below the largest is missing."""
     rng = np.random.default_rng(seed)
     return [
-        (int(rng.integers(20)), int(rng.integers(num_fine)),
+        (int(rng.integers(20)), i % num_fine,
          rng.integers(0, 256, size=3072, dtype=np.uint8).astype(np.uint8))
-        for _ in range(n)
+        for i in range(n)
     ]
 
 
@@ -48,10 +45,10 @@ class TestCifarLoader:
 
     def test_pixel_scaling(self, tmp_path):
         path = tmp_path / "one.bin"
-        write_cifar_file(path, [(3, 7, np.full(3072, 255, dtype=np.uint8))])
+        write_cifar_file(path, [(3, c, np.full(3072, 255, dtype=np.uint8)) for c in range(8)])
         ds = load_cifar100(str(path), "train")
-        assert np.all(ds.train[0].features == 1.0)
-        assert ds.train[0].label == 7
+        assert np.all(ds.train[7].features == 1.0)
+        assert ds.train[7].label == 7
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -65,17 +62,25 @@ class TestCifarLoader:
         with pytest.raises(DataError):
             load_cifar100(str(path), "train")
 
+    def test_skipped_label_rejected(self, tmp_path):
+        path = tmp_path / "gaps.bin"
+        write_cifar_file(path, [(0, c, np.zeros(3072, dtype=np.uint8)) for c in (0, 2, 4)])
+        with pytest.raises(DataError, match=r"\[1, 3\]"):
+            load_cifar100(str(path), "train")
+        # a test split may lack classes: it only shrinks the evaluation pool
+        assert load_cifar100(str(path), "test").y_test.tolist() == [0, 2, 4]
+
     def test_round_trip_bytes(self, tmp_path):
         records = random_records(20, seed=5)
         path = tmp_path / "rt.bin"
         write_cifar_file(path, records)
         raw = path.read_bytes()
         ds = load_cifar100(str(path), "train")
+        pixels = np.rint(ds.X_train.astype(np.float64) * 255.0).astype(np.uint8)
         for i in range(20):
             original = raw[i * CIFAR_RECORD_BYTES : (i + 1) * CIFAR_RECORD_BYTES]
-            coarse, fine, pixels = parse_cifar_record(original)
-            assert pack_cifar_record(coarse, fine, pixels) == original
-            assert example_to_cifar_record(ds.train[i], int(ds.train_coarse[i])) == original
+            repacked = pack_cifar_record(int(ds.train_coarse[i]), int(ds.y_train[i]), pixels[i])
+            assert repacked == original
 
 
 class TestBlobs:
@@ -136,9 +141,10 @@ class TestDisjointStream:
     def test_determinism(self):
         ds = make_blobs(6, 10, seed=2)
         spec = StreamSpec("disjoint", 3, seed=11)
-        assert stream_manifest(make_disjoint_stream(ds, spec)) == stream_manifest(
-            make_disjoint_stream(ds, spec)
-        )
+        a, b = make_disjoint_stream(ds, spec), make_disjoint_stream(ds, spec)
+        assert [t.task_index for t in a] == [t.task_index for t in b]
+        assert [t.major_classes for t in a] == [t.major_classes for t in b]
+        assert all(np.array_equal(x.example_indices, y.example_indices) for x, y in zip(a, b))
 
     def test_explicit_class_order(self):
         ds = make_blobs(4, 10, seed=2)
@@ -179,9 +185,3 @@ class TestFuzzyStream:
         with pytest.raises(ConfigurationError):
             make_fuzzy_stream(ds, StreamSpec("disjoint", 2))
 
-    def test_manifest_schema(self):
-        ds = make_blobs(4, 10, seed=4)
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=25, seed=1))
-        manifest = json.loads(stream_manifest(tasks))
-        assert [m["task_index"] for m in manifest] == [0, 1]
-        assert set(manifest[0]) == {"task_index", "major_classes", "example_indices"}
