@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -73,6 +74,15 @@ class RunConfig:
         try:
             if self.memory_budget < 1:
                 raise ConfigurationError("memory_budget must be >= 1")
+            # operator.index raises TypeError for anything but an integer
+            if operator.index(self.seed) < 0:
+                raise ConfigurationError("seed must be >= 0")
+            if operator.index(self.reduce_dim) < 1:
+                raise ConfigurationError("reduce_dim must be >= 1")
+            if any(operator.index(h) < 1 for h in self.hidden_sizes):
+                raise ConfigurationError("hidden_sizes must all be >= 1")
+            if self.dataset == "blobs" and not self.blobs.spread > 0:
+                raise ConfigurationError("blobs.spread must be > 0")
             input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
             if self.reducer == "none" and input_dim > 3:
                 raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
@@ -376,8 +386,10 @@ def emit_results(result: RunResult, cfg: RunConfig, out_dir: str) -> None:
 
     Wall-clock goes to timings.csv only; the seconds column in metrics.csv
     is rounded to milliseconds and excluded from determinism guarantees.
+    Every file's content is built before any is written, and each is
+    written to a temporary name and renamed into place, so a failed emit
+    leaves no partial file and the files of an earlier run intact.
     """
-    os.makedirs(out_dir, exist_ok=True)
     lines = ["task,accuracy,avg_accuracy,exemplars,seconds"]
     timing = ["task,seconds"]
     for r in result.records:
@@ -386,14 +398,23 @@ def emit_results(result: RunResult, cfg: RunConfig, out_dir: str) -> None:
             f"{r.exemplar_count},{r.seconds:.3f}"
         )
         timing.append(f"{r.task_index},{r.seconds!r}")
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "timings.csv"), "w") as fh:
-        fh.write("\n".join(timing) + "\n")
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, "exemplars.json"), "w") as fh:
-        fh.write(result.store.to_json())
+    files = {
+        "metrics.csv": "\n".join(lines) + "\n",
+        "timings.csv": "\n".join(timing) + "\n",
+        "config.json": json.dumps(config_to_dict(cfg), indent=2, sort_keys=True),
+        "exemplars.json": result.store.to_json(),
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # only when the write or rename failed
+                os.remove(tmp)
 
 
 def run_and_emit(cfg: RunConfig, out_dir: str | None = None) -> RunResult:

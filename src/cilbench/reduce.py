@@ -134,14 +134,49 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(P, _EPS)
 
 
-def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(P||Q) under the Student-t output kernel and its gradient in Y."""
-    num = 1.0 / (1.0 + pairwise_sq_dists(Y))
+def kl_divergence_and_grad(
+    P: np.ndarray,
+    Y: np.ndarray,
+    P_grad: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, np.ndarray]:
+    """KL(P||Q) under the Student-t output kernel and the gradient in Y of
+    KL(P_grad||Q) (P_grad defaults to P), from one pass over Q.
+
+    work is a tuple of three (N, N) float64 arrays that receive every N x N
+    intermediate; without it they are allocated here.  The operation order
+    is fixed, so results do not depend on whether work is given.
+    """
+    if P_grad is None:
+        P_grad = P
+    n = Y.shape[0]
+    if work is None:
+        work = tuple(np.empty((n, n)) for _ in range(3))
+    a, num, c = work
+    # num = 1 / (1 + pairwise_sq_dists(Y)), zero diagonal
+    sq = np.sum(Y * Y, axis=1)
+    np.matmul(Y, Y.T, out=a)
+    np.multiply(a, 2.0, out=a)
+    np.add(sq[:, None], sq[None, :], out=num)
+    np.subtract(num, a, out=num)
     np.fill_diagonal(num, 0.0)
-    Q = np.maximum(num / num.sum(), _EPS)
-    kl = float(np.sum(P * np.log(P / Q)))
-    W = (P - Q) * num
-    grad = 4.0 * ((np.diag(W.sum(axis=1)) - W) @ Y)
+    np.maximum(num, 0.0, out=num)
+    np.add(num, 1.0, out=num)
+    np.divide(1.0, num, out=num)
+    np.fill_diagonal(num, 0.0)
+    Q = np.divide(num, num.sum(), out=a)
+    np.maximum(Q, _EPS, out=Q)
+    np.divide(P, Q, out=c)
+    np.log(c, out=c)
+    np.multiply(P, c, out=c)
+    kl = float(np.sum(c))
+    # W = (P_grad - Q) * num; grad = 4 (diag(rowsum W) - W) @ Y
+    W = np.subtract(P_grad, Q, out=a)
+    np.multiply(W, num, out=W)
+    rowsum = W.sum(axis=1)
+    L = np.negative(W, out=W)
+    L.flat[:: n + 1] += rowsum
+    grad = 4.0 * (L @ Y)
     return kl, grad
 
 
@@ -173,17 +208,22 @@ def tsne_reduce(X, cfg: TsneConfig = TsneConfig()) -> Embedding:
     else:
         Y = rng.normal(0.0, 1e-4, size=(n, d))
 
+    # one kernel call per step: call t+1 also yields KL(P||Q) at the Y that
+    # step t produced, so the trace needs a single call after the loop
+    work = tuple(np.empty((n, n)) for _ in range(3))
+    P_exag = np.maximum(P * cfg.early_exaggeration, _EPS)
     velocity = np.zeros_like(Y)
     trace: list[float] = []
     for it in range(cfg.iterations):
-        exag = cfg.early_exaggeration if it < cfg.exaggeration_iters else 1.0
+        P_grad = P_exag if it < cfg.exaggeration_iters else P
         mom = cfg.momentum_start if it < cfg.momentum_switch_iter else cfg.momentum_final
-        _, grad = kl_divergence_and_grad(np.maximum(P * exag, _EPS), Y)
+        kl, grad = kl_divergence_and_grad(P, Y, P_grad, work)
+        if it > 0:
+            trace.append(kl)
         velocity = mom * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-        kl, _ = kl_divergence_and_grad(P, Y)
-        trace.append(kl)
+    trace.append(kl_divergence_and_grad(P, Y, work=work)[0])
     if not np.all(np.isfinite(Y)):
         raise DataError("t-SNE diverged to non-finite coordinates")
     return Embedding(points=Y, kl_trace=trace)

@@ -5,6 +5,8 @@ Each function here is the textbook one-row form of a computation that
 cilbench runs only in batched form: the distilled softmax, the
 cross-entropy and distillation losses and their beta mix, the
 nearest-mean-of-exemplars classifier, and the k-center covering radius.
+It also keeps the earlier unfused t-SNE descent loop, which evaluates its
+kernel twice per step, as the bit-exact reference for the fused one.
 The module imports nothing from cilbench except its error types, so an
 oracle never shares code with what it checks.
 """
@@ -93,3 +95,37 @@ def covering_radius(pts, selection: list[int]) -> float:
     pts = np.asarray(pts, dtype=np.float64)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     return float(dist[:, selection].min(axis=1).max())
+
+
+def tsne_kl_and_grad(P, Y) -> tuple[float, np.ndarray]:
+    """KL(P||Q) under the Student-t output kernel and its gradient in Y."""
+    sq = np.sum(Y * Y, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+    np.fill_diagonal(d2, 0.0)
+    num = 1.0 / (1.0 + np.maximum(d2, 0.0))
+    np.fill_diagonal(num, 0.0)
+    Q = np.maximum(num / num.sum(), _PROB_FLOOR)
+    kl = float(np.sum(P * np.log(P / Q)))
+    W = (P - Q) * num
+    grad = 4.0 * ((np.diag(W.sum(axis=1)) - W) @ Y)
+    return kl, grad
+
+
+def tsne_descent(
+    P, Y, *, iterations: int, learning_rate: float, early_exaggeration: float,
+    exaggeration_iters: int, momentum_start: float, momentum_final: float,
+    momentum_switch_iter: int,
+) -> tuple[np.ndarray, list[float]]:
+    """Momentum descent from Y; one kernel call for the step's gradient under
+    the exaggerated P, a second for KL(P||Q) at the Y the step produced."""
+    velocity = np.zeros_like(Y)
+    trace: list[float] = []
+    for it in range(iterations):
+        exag = early_exaggeration if it < exaggeration_iters else 1.0
+        mom = momentum_start if it < momentum_switch_iter else momentum_final
+        _, grad = tsne_kl_and_grad(np.maximum(P * exag, _PROB_FLOOR), Y)
+        velocity = mom * velocity - learning_rate * grad
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+        trace.append(tsne_kl_and_grad(P, Y)[0])
+    return Y, trace

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cilbench.harness import (
     run_experiment,
 )
 from cilbench.learner import MlpModel, TrainConfig
-from cilbench.sampler import SamplerParams
+from cilbench.sampler import ExemplarStore, SamplerParams
 
 
 def small_config(**overrides) -> RunConfig:
@@ -174,6 +175,30 @@ class TestResultFiles:
             tmp_path / "b" / "metrics.csv"
         )
 
+    def test_failed_emit_leaves_earlier_files_intact(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        result = run_and_emit(cfg, str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert "exemplars.json" in before
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("emit failed")
+
+        # a failure while building the content, then one while renaming
+        for target, name in [(ExemplarStore, "to_json"), (os, "replace")]:
+            with monkeypatch.context() as m:
+                m.setattr(target, name, fail)
+                with pytest.raises(RuntimeError):
+                    emit_results(result, cfg, str(tmp_path))
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        with monkeypatch.context() as m:
+            m.setattr(ExemplarStore, "to_json", fail)
+            with pytest.raises(RuntimeError):
+                emit_results(result, cfg, str(fresh))
+        assert not (fresh / "exemplars.json").exists()
+        assert not fresh.exists() or not list(fresh.iterdir())
+
     def test_config_round_trip(self):
         cfg = small_config(classifier="nme", reducer="pca")
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
@@ -215,8 +240,17 @@ class TestCli:
             {"sampler_params": {"m": 1, "n": "5"}},
             {"stream": {"mode": "disjoint", "classes_per_task": "2"}},
             {"memory_budget": 3},  # below the 4 classes of small_config
+            {"seed": -1},
+            {"seed": "x"},
+            {"hidden_sizes": [0]},
+            {"hidden_sizes": [-1]},
+            {"blobs": {"spread": -1.0}},
+            {"reduce_dim": "2"},
+            {"reduce_dim": 0},
         ],
-        ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes"],
+        ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
+             "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
+             "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))

@@ -1,6 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from cilbench.errors import ConfigurationError
 from cilbench.reduce import (
     TsneConfig,
@@ -145,3 +149,90 @@ class TestTsne:
         X = rng.normal(size=(7, 3))  # default perplexity 30 must be capped
         emb = tsne_reduce(X, TsneConfig(iterations=30, seed=0))
         assert np.all(np.isfinite(emb.points))
+
+
+def tsne_start(X, cfg):
+    """P and the initial Y built the way tsne_reduce builds them."""
+    n, dim = X.shape
+    P = joint_affinities(X, max(min(cfg.perplexity, (n - 1) / 3.0), 2.0))
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.init == "pca":
+        Y = pca_reduce(X, cfg.target_dim).points
+        Y = Y / Y[:, 0].std() * 1e-4
+    else:
+        Y = rng.normal(0.0, 1e-4, size=(n, cfg.target_dim))
+    return P, Y
+
+
+def random_affinities(n, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n))
+    P = np.maximum((P + P.T) / (2.0 * (P + P.T).sum()), 1e-12)
+    return P, rng.normal(size=(n, 2))
+
+
+class TestFusedDescent:
+    """The one-call-per-step descent against the two-call loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, init, overrides",
+        [
+            (5, "pca", {}),
+            (5, "random", {}),
+            (24, "pca", {}),
+            (24, "random", {}),
+            (160, "pca", {}),
+            (160, "random", {}),
+            (24, "pca", {"iterations": 1}),
+            (24, "random", {"iterations": 1}),
+            (24, "pca", {"iterations": 40, "exaggeration_iters": 40}),
+            (24, "random", {"iterations": 40, "exaggeration_iters": 90}),
+        ],
+    )
+    def test_points_and_trace_bit_identical_to_unfused_loop(self, n, init, overrides):
+        rng = np.random.default_rng(n)
+        centers = rng.normal(0.0, 6.0, size=(3, 8))
+        X = centers[np.arange(n) % 3] + rng.normal(size=(n, 8))
+        cfg = dataclasses.replace(
+            TsneConfig(iterations=300, seed=n + 1, init=init), **overrides
+        )
+        emb = tsne_reduce(X, cfg)
+        P, Y0 = tsne_start(X, cfg)
+        points, trace = oracles.tsne_descent(
+            P, Y0,
+            iterations=cfg.iterations,
+            learning_rate=cfg.learning_rate,
+            early_exaggeration=cfg.early_exaggeration,
+            exaggeration_iters=cfg.exaggeration_iters,
+            momentum_start=cfg.momentum_start,
+            momentum_final=cfg.momentum_final,
+            momentum_switch_iter=cfg.momentum_switch_iter,
+        )
+        assert not emb.warnings
+        assert np.array_equal(emb.points, points)
+        assert np.array_equal(np.asarray(emb.kl_trace), np.asarray(trace))
+        assert len(emb.kl_trace) == cfg.iterations
+
+    @pytest.mark.parametrize("n", [5, 24, 160])
+    def test_kernel_same_with_and_without_work(self, n):
+        P, Y = random_affinities(n, seed=n)
+        P_grad = np.maximum(P * 12.0, 1e-12)
+        work = tuple(np.full((n, n), np.nan) for _ in range(3))
+        kl, grad = kl_divergence_and_grad(P, Y, P_grad)
+        kl_w, grad_w = kl_divergence_and_grad(P, Y, P_grad, work)
+        assert kl == kl_w and np.array_equal(grad, grad_w)
+        # and both halves agree with the two-call reference kernel
+        assert kl == oracles.tsne_kl_and_grad(P, Y)[0]
+        assert np.array_equal(grad, oracles.tsne_kl_and_grad(P_grad, Y)[1])
+
+    def test_kernel_with_work_allocates_less_than_one_matrix(self):
+        n = 320
+        P, Y = random_affinities(n, seed=0)
+        work = tuple(np.empty((n, n)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            kl_divergence_and_grad(P, Y, work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
