@@ -5,7 +5,8 @@ Subcommands:
   ablate-n  -- sweep the neighbor-count filter over shared seeds
   verify    -- run the built-in property/oracle battery
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
+diverged (the loss went non-finite; no result files are written).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, DivergenceError
 from .harness import ablate_n, load_config, run_and_emit
 from .selfcheck import run_selfcheck
 
@@ -85,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

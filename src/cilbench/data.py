@@ -178,6 +178,8 @@ def make_blobs(
         raise ConfigurationError("num_classes must be >= 2")
     if per_class < 2:
         raise ConfigurationError("per_class must be >= 2")
+    if dim < 1:
+        raise ConfigurationError("dim must be >= 1")
     if not 0.0 <= outlier_fraction < 0.5:
         raise ConfigurationError("outlier_fraction must be in [0, 0.5)")
     if outlier_reach[0] < 10.0 or outlier_reach[1] < outlier_reach[0]:

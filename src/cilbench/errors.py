@@ -1,7 +1,7 @@
 """Exception types shared across the workbench.
 
-The CLI maps ConfigurationError to exit code 2 and DataError to exit
-code 3; everything else is a plain crash.
+The CLI maps ConfigurationError to exit code 2, DataError to exit code 3
+and DivergenceError to exit code 4; everything else is a plain crash.
 """
 
 

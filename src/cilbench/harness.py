@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
+import numbers
 import os
+import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +64,7 @@ class RunConfig:
     def validate(self) -> None:
         """Check every field, nested specs included, before any data is
         touched; a value of the wrong type is a ConfigurationError too."""
+        _check_types(self)
         if self.dataset not in ("blobs", "cifar100"):
             raise ConfigurationError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not self.cifar_train_path:
@@ -71,28 +75,57 @@ class RunConfig:
             raise ConfigurationError(f"unknown reducer {self.reducer!r}")
         if self.classifier not in ("softmax_head", "nme"):
             raise ConfigurationError(f"unknown classifier {self.classifier!r}")
-        try:
-            if self.memory_budget < 1:
-                raise ConfigurationError("memory_budget must be >= 1")
-            # operator.index raises TypeError for anything but an integer
-            if operator.index(self.seed) < 0:
-                raise ConfigurationError("seed must be >= 0")
-            if operator.index(self.reduce_dim) < 1:
-                raise ConfigurationError("reduce_dim must be >= 1")
-            if any(operator.index(h) < 1 for h in self.hidden_sizes):
-                raise ConfigurationError("hidden_sizes must all be >= 1")
-            if self.dataset == "blobs" and not self.blobs.spread > 0:
-                raise ConfigurationError("blobs.spread must be > 0")
-            input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
-            if self.reducer == "none" and input_dim > 3:
-                raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
-            self.stream.validate()
-            self.sampler_params.validate()
-            self.tsne.validate()
-            self.loss.validate()
-            self.train.validate()
-        except TypeError as exc:
-            raise ConfigurationError(f"bad config: {exc}") from exc
+        if self.memory_budget < 1:
+            raise ConfigurationError("memory_budget must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        if self.reduce_dim < 1:
+            raise ConfigurationError("reduce_dim must be >= 1")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigurationError("hidden_sizes must all be >= 1")
+        if self.dataset == "blobs" and not self.blobs.spread > 0:
+            raise ConfigurationError("blobs.spread must be > 0")
+        input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
+        if self.reducer == "none" and input_dim > 3:
+            raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
+        self.stream.validate()
+        self.sampler_params.validate()
+        self.tsne.validate()
+        self.loss.validate()
+        self.train.validate()
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance for the annotations config fields use.  JSON has one
+    number type, so an integer passes as a float; a bool is no number, and
+    a float must be finite."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        return any(_has_type(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        args = typing.get_args(kind)
+        if not isinstance(value, tuple):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_has_type(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_has_type(v, k) for v, k in zip(value, args))
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind is float:  # the bound also rejects nan, inf and ints beyond float range
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+    return isinstance(value, kind)
+
+
+def _check_types(spec, where: str = "") -> None:
+    """Raise ConfigurationError unless every field of the config dataclass
+    spec, and of each spec nested in it, holds a value of its annotated type."""
+    for name, kind in typing.get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if not _has_type(value, kind):
+            expected = kind.__name__ if isinstance(kind, type) else kind
+            raise ConfigurationError(f"{where}{name} must be {expected}, got {value!r}")
+        if dataclasses.is_dataclass(value):
+            _check_types(value, f"{where}{name}.")
 
 
 @dataclass
@@ -345,31 +378,30 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return d
 
 
+_SPECS = {
+    "blobs": BlobsSpec, "stream": StreamSpec, "sampler_params": SamplerParams,
+    "tsne": TsneConfig, "loss": LossConfig, "train": TrainConfig,
+}
+
+
+def _lists_to_tuples(d: dict, *keys: str) -> dict:
+    return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in d.items()}
+
+
 def config_from_dict(d: dict) -> RunConfig:
+    """RunConfig from parsed JSON: nested specs must be objects, and the
+    tuple fields are JSON lists.  Types are checked by RunConfig.validate."""
+    if not isinstance(d, dict):
+        raise ConfigurationError("bad config: not a JSON object")
+    d = _lists_to_tuples(d, "hidden_sizes")
     try:
-        d = dict(d)
-        if "blobs" in d:
-            b = dict(d["blobs"])
-            if "outlier_reach" in b:
-                b["outlier_reach"] = tuple(b["outlier_reach"])
-            d["blobs"] = BlobsSpec(**b)
-        if "stream" in d:
-            s = dict(d["stream"])
-            if s.get("class_order") is not None:
-                s["class_order"] = tuple(s["class_order"])
-            d["stream"] = StreamSpec(**s)
-        if "sampler_params" in d:
-            d["sampler_params"] = SamplerParams(**d["sampler_params"])
-        if "tsne" in d:
-            d["tsne"] = TsneConfig(**d["tsne"])
-        if "loss" in d:
-            d["loss"] = LossConfig(**d["loss"])
-        if "train" in d:
-            d["train"] = TrainConfig(**d["train"])
-        if "hidden_sizes" in d:
-            d["hidden_sizes"] = tuple(d["hidden_sizes"])
+        for key, spec in _SPECS.items():
+            if key in d:
+                if not isinstance(d[key], dict):
+                    raise ConfigurationError(f"bad config: {key} must be a JSON object")
+                d[key] = spec(**_lists_to_tuples(d[key], "outlier_reach", "class_order"))
         return RunConfig(**d)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigurationError(f"bad config: {exc}") from exc
 
 
@@ -404,6 +436,13 @@ def emit_results(result: RunResult, cfg: RunConfig, out_dir: str) -> None:
         "config.json": json.dumps(config_to_dict(cfg), indent=2, sort_keys=True),
         "exemplars.json": result.store.to_json(),
     }
+    _write_files(out_dir, files)
+
+
+def _write_files(out_dir: str, files: dict[str, str]) -> None:
+    """Write each text to <name>.tmp in out_dir and rename it into place,
+    so a failed write or rename leaves no partial file and the earlier
+    file of that name intact."""
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():
         path = os.path.join(out_dir, name)
@@ -441,7 +480,5 @@ def ablate_n(
             aa = result.records[-1].avg_accuracy
             out[(n, seed)] = aa
             rows.append(f"{n},{seed},{aa!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "ablation.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_files(out_dir, {"ablation.csv": "\n".join(rows) + "\n"})
     return out

@@ -121,16 +121,22 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.n
 
 
 def backprop(
-    model: MlpModel, acts: list[np.ndarray], dlogits: np.ndarray
+    model: MlpModel,
+    acts: list[np.ndarray],
+    dlogits: np.ndarray,
+    grads: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of sum(dlogits * logits) w.r.t. each (W, b)."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    """Gradients of sum(dlogits * logits) w.r.t. each (W, b), written into
+    grads (one pair of arrays shaped like each layer's, allocated when None)."""
+    if grads is None:
+        grads = [(np.empty_like(W), np.empty_like(b)) for W, b in zip(model.weights, model.biases)]
     delta = dlogits
     for k in range(len(model.weights) - 1, -1, -1):
-        grads.append((acts[k].T @ delta, delta.sum(axis=0)))
+        gW, gb = grads[k]
+        np.matmul(acts[k].T, delta, out=gW)
+        np.sum(delta, axis=0, out=gb)
         if k > 0:
             delta = (delta @ model.weights[k].T) * (acts[k] > 0)
-    grads.reverse()
     return grads
 
 
@@ -144,6 +150,60 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def teacher_targets(
+    teacher: TeacherSnapshot, X: np.ndarray, temperature: float, chunk: int
+) -> np.ndarray:
+    """softmax(teacher logits / temperature) for every row of X, through
+    forward_batch on min(chunk, len(X)) rows at a time.
+
+    BLAS picks its kernel from the matrix shapes (one row goes through a
+    matrix-vector kernel, small products through a small-matrix one), and
+    the kernels round differently.  So every forward here has exactly
+    `chunk` rows, as a full training batch does: when len(X) is not a
+    multiple of it, the last chunk overlaps the one before.
+    """
+    targets = np.empty((len(X), teacher.num_classes))
+    for start in range(0, len(X), chunk):
+        lo = max(0, min(start, len(X) - chunk))
+        t_logits, _ = forward_batch(teacher.model, X[lo : lo + chunk])
+        targets[lo : lo + chunk] = softmax(t_logits / temperature)
+    return targets
+
+
+def _loss_and_grads(
+    model: MlpModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    p_t: np.ndarray | None,
+    lcfg: LossConfig,
+    grads: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Mean per-example loss over rows X with in-range labels y, given the
+    teacher's distilled targets p_t (None: cross-entropy only), and its
+    gradients written into grads."""
+    logits, acts = forward_batch(model, X)
+    n = len(y)
+    rows = np.arange(n)
+    probs = softmax(logits)
+    ce = -np.log(np.maximum(probs[rows, y], _PROB_FLOOR))
+    dlogits = probs  # probs - onehot(y), in place
+    dlogits[rows, y] -= 1.0
+
+    if p_t is None:
+        loss = float(ce.mean())
+        dlogits /= n
+    else:
+        T = lcfg.temperature
+        ell = p_t.shape[1]
+        p_s = softmax(logits[:, :ell] / T)
+        kd = -np.sum(p_t * np.log(np.maximum(p_s, _PROB_FLOOR)), axis=1)
+        loss = float((lcfg.beta * kd + (1.0 - lcfg.beta) * ce).mean())
+        dlogits *= 1.0 - lcfg.beta
+        dlogits[:, :ell] += lcfg.beta * (p_s - p_t) / T
+        dlogits /= n
+    return loss, backprop(model, acts, dlogits, grads)
+
+
 def batch_loss_and_grads(
     model: MlpModel,
     X: np.ndarray,
@@ -152,32 +212,21 @@ def batch_loss_and_grads(
     lcfg: LossConfig,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean per-example loss over the batch and its analytic gradients."""
-    logits, acts = forward_batch(model, X)
-    n, width = logits.shape
     y = np.asarray(y)
-    if np.any(y >= width):
+    if np.any(y >= model.num_classes):
         raise ShapeError("label outside model head")
-    probs = softmax(logits)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), y] = 1.0
-    ce = -np.log(np.maximum(probs[np.arange(n), y], _PROB_FLOOR))
-    dlogits = probs - onehot
+    p_t = None if teacher is None else teacher_targets(teacher, X, lcfg.temperature, len(X))
+    return _loss_and_grads(model, X, y, p_t, lcfg)
 
-    if teacher is None:
-        loss = float(ce.mean())
-        dlogits /= n
-    else:
-        T = lcfg.temperature
-        ell = teacher.num_classes
-        t_logits, _ = forward_batch(teacher.model, X)
-        p_t = softmax(t_logits / T)
-        p_s = softmax(logits[:, :ell] / T)
-        kd = -np.sum(p_t * np.log(np.maximum(p_s, _PROB_FLOOR)), axis=1)
-        loss = float((lcfg.beta * kd + (1.0 - lcfg.beta) * ce).mean())
-        dlogits *= 1.0 - lcfg.beta
-        dlogits[:, :ell] += lcfg.beta * (p_s - p_t) / T
-        dlogits /= n
-    return loss, backprop(model, acts, dlogits)
+
+def _layer_views(flat: np.ndarray, model: MlpModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive views of flat shaped like each layer's (W, b)."""
+    views, at = [], 0
+    for W, b in zip(model.weights, model.biases):
+        mid, end = at + W.size, at + W.size + b.size
+        views.append((flat[at:mid].reshape(W.shape), flat[mid:end]))
+        at = end
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +259,24 @@ def train_task(
             f"teacher head {teacher.num_classes} wider than student head {model.num_classes}"
         )
 
-    model = copy.deepcopy(model)
-    vel = [
-        (np.zeros_like(W), np.zeros_like(b))
-        for W, b in zip(model.weights, model.biases)
-    ]
+    # the trained model's arrays are views into one buffer, a copy of the
+    # input's; momentum and gradients live in buffers of the same layout,
+    # so one step is four whole-buffer operations
+    flat = np.concatenate(
+        [a.ravel() for W, b in zip(model.weights, model.biases) for a in (W, b)],
+        dtype=np.float64,
+    )
+    params = _layer_views(flat, model)
+    model = MlpModel(weights=[w for w, _ in params], biases=[b for _, b in params])
+    grad = np.empty_like(flat)
+    grads = _layer_views(grad, model)
+    vel = np.zeros_like(flat)
+    step = np.empty_like(flat)
+
+    # the teacher's targets for a full batch come from one pass per task; a
+    # short last batch gets a forward of its own shape (see teacher_targets)
+    full = min(tcfg.batch_size, len(y))
+    p_t = None if teacher is None else teacher_targets(teacher, X, lcfg.temperature, full)
     rng = np.random.default_rng(tcfg.seed)
     trace: list[float] = []
     for epoch in range(tcfg.epochs):
@@ -222,15 +284,18 @@ def train_task(
         losses = []
         for start in range(0, len(y), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
-            loss, grads = batch_loss_and_grads(model, X[batch], y[batch], teacher, lcfg)
+            if p_t is None:
+                targets = None
+            elif len(batch) == full:
+                targets = p_t[batch]
+            else:
+                targets = teacher_targets(teacher, X[batch], lcfg.temperature, len(batch))
+            loss, _ = _loss_and_grads(model, X[batch], y[batch], targets, lcfg, grads)
             losses.append(loss * len(batch))
-            for k, (gW, gb) in enumerate(grads):
-                vW, vb = vel[k]
-                vW = tcfg.momentum * vW + gW
-                vb = tcfg.momentum * vb + gb
-                vel[k] = (vW, vb)
-                model.weights[k] -= tcfg.learning_rate * vW
-                model.biases[k] -= tcfg.learning_rate * vb
+            vel *= tcfg.momentum
+            vel += grad
+            np.multiply(vel, tcfg.learning_rate, out=step)
+            flat -= step
         epoch_loss = float(np.sum(losses) / len(y))
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)

@@ -5,8 +5,10 @@ Each function here is the textbook one-row form of a computation that
 cilbench runs only in batched form: the distilled softmax, the
 cross-entropy and distillation losses and their beta mix, the
 nearest-mean-of-exemplars classifier, and the k-center covering radius.
-It also keeps the earlier unfused t-SNE descent loop, which evaluates its
-kernel twice per step, as the bit-exact reference for the fused one.
+It also keeps two earlier loops as bit-exact references for the code
+that replaced them: the unfused t-SNE descent, which evaluates its kernel
+twice per step, and the training loop that ran the teacher on every
+mini-batch and built fresh momentum arrays at every step.
 The module imports nothing from cilbench except its error types, so an
 oracle never shares code with what it checks.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cilbench.errors import ConfigurationError, ShapeError
+from cilbench.errors import ConfigurationError, DivergenceError, ShapeError
 
 _PROB_FLOOR = 1e-12
 
@@ -129,3 +131,79 @@ def tsne_descent(
         Y = Y - Y.mean(axis=0)
         trace.append(tsne_kl_and_grad(P, Y)[0])
     return Y, trace
+
+
+def _mlp_forward(weights, biases, X) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits of a ReLU MLP with a linear head, and the input of each layer."""
+    h = np.asarray(X, dtype=np.float64)
+    acts = [h]
+    for k, (W, b) in enumerate(zip(weights, biases)):
+        h = h @ W + b
+        if k != len(weights) - 1:
+            h = np.maximum(h, 0.0)
+            acts.append(h)
+    return h, acts
+
+
+def _mlp_backprop(weights, acts, dlogits) -> list[tuple[np.ndarray, np.ndarray]]:
+    grads = []
+    delta = dlogits
+    for k in range(len(weights) - 1, -1, -1):
+        grads.append((acts[k].T @ delta, delta.sum(axis=0)))
+        if k > 0:
+            delta = (delta @ weights[k].T) * (acts[k] > 0)
+    grads.reverse()
+    return grads
+
+
+def train_task_reference(
+    weights, biases, X, y, teacher=None, *, temperature: float, beta: float,
+    epochs: int, batch_size: int, learning_rate: float, momentum: float, seed: int,
+) -> tuple[list[np.ndarray], list[np.ndarray], list[float]]:
+    """Mini-batch momentum descent on beta * kd + (1 - beta) * ce (ce alone
+    without a teacher), one teacher forward per mini-batch; teacher is a
+    (weights, biases) pair.  Returns the weights, biases and per-epoch loss."""
+    weights = [np.array(W, dtype=np.float64) for W in weights]
+    biases = [np.array(b, dtype=np.float64) for b in biases]
+    vel = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(weights, biases)]
+    rng = np.random.default_rng(seed)
+    trace: list[float] = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(y))
+        losses = []
+        for start in range(0, len(y), batch_size):
+            batch = order[start : start + batch_size]
+            Xb, yb = X[batch], y[batch]
+            logits, acts = _mlp_forward(weights, biases, Xb)
+            n = len(yb)
+            probs = softmax(logits)
+            onehot = np.zeros_like(probs)
+            onehot[np.arange(n), yb] = 1.0
+            ce = -np.log(np.maximum(probs[np.arange(n), yb], _PROB_FLOOR))
+            dlogits = probs - onehot
+            if teacher is None:
+                loss = float(ce.mean())
+                dlogits /= n
+            else:
+                t_logits, _ = _mlp_forward(*teacher, Xb)
+                ell = t_logits.shape[1]
+                p_t = softmax(t_logits / temperature)
+                p_s = softmax(logits[:, :ell] / temperature)
+                kd = -np.sum(p_t * np.log(np.maximum(p_s, _PROB_FLOOR)), axis=1)
+                loss = float((beta * kd + (1.0 - beta) * ce).mean())
+                dlogits *= 1.0 - beta
+                dlogits[:, :ell] += beta * (p_s - p_t) / temperature
+                dlogits /= n
+            losses.append(loss * n)
+            for k, (gW, gb) in enumerate(_mlp_backprop(weights, acts, dlogits)):
+                vW, vb = vel[k]
+                vW = momentum * vW + gW
+                vb = momentum * vb + gb
+                vel[k] = (vW, vb)
+                weights[k] -= learning_rate * vW
+                biases[k] -= learning_rate * vb
+        epoch_loss = float(np.sum(losses) / len(y))
+        if not np.isfinite(epoch_loss):
+            raise DivergenceError(epoch)
+        trace.append(epoch_loss)
+    return weights, biases, trace

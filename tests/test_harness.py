@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cilbench import learner
 from cilbench.cli import main as cli_main
@@ -12,6 +17,7 @@ from cilbench.errors import ConfigurationError
 from cilbench.harness import (
     BlobsSpec,
     RunConfig,
+    ablate_n,
     average_accuracy,
     config_from_dict,
     config_to_dict,
@@ -199,6 +205,20 @@ class TestResultFiles:
         assert not (fresh / "exemplars.json").exists()
         assert not fresh.exists() or not list(fresh.iterdir())
 
+    def test_failed_ablation_write_keeps_earlier_csv(self, tmp_path, monkeypatch):
+        cfg = small_config(train=TrainConfig(epochs=2, batch_size=16))
+        ablate_n(cfg, [0], [1], str(tmp_path))
+        before = (tmp_path / "ablation.csv").read_bytes()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(RuntimeError):
+            ablate_n(cfg, [0, 2], [1], str(tmp_path))
+        assert (tmp_path / "ablation.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ablation.csv"]
+
     def test_config_round_trip(self):
         cfg = small_config(classifier="nme", reducer="pca")
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
@@ -247,10 +267,11 @@ class TestCli:
             {"blobs": {"spread": -1.0}},
             {"reduce_dim": "2"},
             {"reduce_dim": 0},
+            {"blobs": {"dim": 0}},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
-             "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim"],
+             "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
@@ -259,6 +280,20 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg_dict))
         assert cli_main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = small_config(
+            out_dir=str(out),
+            train=TrainConfig(epochs=6, batch_size=16, learning_rate=1e300, momentum=0.9),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["run", "--config", self.write_config(tmp_path, cfg)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: non-finite loss at epoch")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
@@ -296,3 +331,94 @@ class TestCli:
         assert cli_main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _field_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+BASE_CONFIG = json.loads(json.dumps(config_to_dict(small_config())))
+FIELD_PATHS = sorted(_field_paths(BASE_CONFIG))
+# fields whose default is null, with the JSON kinds they take otherwise
+NULLABLE = {
+    ("cifar_train_path",): {"str"},
+    ("cifar_test_path",): {"str"},
+    ("blobs", "center_box"): {"int", "number"},
+    ("stream", "class_order"): {"list"},
+}
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int):
+        return "int"
+    if isinstance(value, float):
+        return "number" if math.isfinite(value) else "non-finite"
+    return {type(None): "null", str: "str", list: "list", dict: "object"}[type(value)]
+
+
+def _accepted_kinds(path) -> set[str]:
+    """The JSON kinds a field takes, read off the kind of its default."""
+    if path in NULLABLE:
+        return {"null"} | NULLABLE[path]
+    default = BASE_CONFIG
+    for key in path:
+        default = default[key]
+    kind = _json_kind(default)
+    return {"int", "number"} if kind == "number" else {kind}
+
+
+def _with_override(path, value) -> dict:
+    d = json.loads(json.dumps(BASE_CONFIG))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+class TestConfigFuzz:
+    """Arbitrary JSON in a config reaches no training: config_from_dict and
+    RunConfig.validate either accept it or raise ConfigurationError."""
+
+    @given(path=st.sampled_from(FIELD_PATHS) | st.tuples(st.text(max_size=6)), value=JSON_VALUES)
+    @example(path=("train", "learning_rate"), value=10**400)  # beyond float range
+    @settings(max_examples=400, deadline=None)
+    def test_only_configuration_error_escapes(self, path, value):
+        with mock.patch.object(learner, "train_task", side_effect=AssertionError("trained")):
+            try:
+                config_from_dict(_with_override(path, value)).validate()
+            except ConfigurationError:
+                pass
+
+    @given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_wrong_kind_exits_2_before_training(self, path, value):
+        if _json_kind(value) in _accepted_kinds(path):
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            d = _with_override(path, value)
+            d["out_dir"] = out if path != ("out_dir",) else value
+            cfg_path = os.path.join(tmp, "bad.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(d, fh)
+            with mock.patch.object(learner, "train_task", side_effect=AssertionError("trained")):
+                assert cli_main(["run", "--config", cfg_path]) == 2
+            assert not os.path.exists(out)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cilbench import learner
 from cilbench.errors import ConfigurationError, ShapeError
 from cilbench.learner import (
     LossConfig,
@@ -18,7 +19,14 @@ from cilbench.learner import (
     snapshot_teacher,
     train_task,
 )
-from oracles import ce_loss, cross_distilled_loss, distilled_softmax, kd_loss, nme_classify
+from oracles import (
+    ce_loss,
+    cross_distilled_loss,
+    distilled_softmax,
+    kd_loss,
+    nme_classify,
+    train_task_reference,
+)
 
 
 def fd_gradient(model, k, idx, X, y, teacher, lcfg, eps=1e-6):
@@ -254,6 +262,93 @@ class TestTraining:
             train_task(
                 model, np.zeros((1, 2)), np.array([0]), teacher, tcfg=TrainConfig(epochs=1)
             )
+
+
+def _task(n, dim, dtype, seed):
+    """n rows in two blobs (2-D) or uniform pixels (wider), labels in 0..5."""
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        X = np.vstack([rng.normal(c, 0.5, size=(n // 2, 2)) for c in [(-2.0, 0.0), (2.0, 0.0)]])
+        X = np.vstack([X, rng.normal(0.0, 1.0, size=(n - len(X), 2))])
+    else:
+        X = rng.random((n, dim))
+    return X.astype(dtype), rng.integers(0, 6, size=n)
+
+
+# (rows, input width, dtype, hidden, teacher head or None, batch_size, momentum).
+# Under OpenBLAS a row's logits depend on the row count of the forward: one
+# row goes through a matrix-vector kernel, and at width 3072 two rows go
+# through the small-matrix kernel that 32 rows do not.  65/16, 97/32 and
+# 98/32 end each epoch on such a short batch.
+BIT_EXACT_CASES = {
+    "blobs-no-teacher": (60, 2, np.float64, (16, 8), None, 16, 0.9),
+    "blobs-teacher": (60, 2, np.float64, (16, 8), 3, 16, 0.9),
+    "one-row-last-batch": (65, 2, np.float64, (16, 8), 3, 16, 0.9),
+    "batch-larger-than-task": (10, 2, np.float64, (16, 8), 3, 32, 0.9),
+    "momentum-zero": (60, 2, np.float64, (16, 8), 3, 16, 0.0),
+    "wide-float32-two-row-last-batch": (98, 3072, np.float32, (32,), 3, 32, 0.9),
+    "wide-float32-one-row-last-batch": (97, 3072, np.float32, (32,), 4, 32, 0.9),
+}
+
+
+class TestTrainingBitExact:
+    """train_task (teacher targets once per task, one flat parameter buffer)
+    against the per-batch loop it replaced, kept in oracles.py."""
+
+    @pytest.mark.parametrize("case", list(BIT_EXACT_CASES), ids=list(BIT_EXACT_CASES))
+    def test_equal_to_per_batch_loop(self, case):
+        n, dim, dtype, hidden, ell, batch_size, momentum = BIT_EXACT_CASES[case]
+        X, y = _task(n, dim, dtype, seed=0)
+        model = init_mlp(dim, hidden, 6, seed=1)
+        teacher = None if ell is None else snapshot_teacher(init_mlp(dim, hidden, ell, seed=2))
+        lcfg = LossConfig(temperature=2.0, beta=0.5)
+        tcfg = TrainConfig(epochs=5, batch_size=batch_size, learning_rate=0.05,
+                           momentum=momentum, seed=3)
+        trained, trace = train_task(model, X, y, teacher, lcfg=lcfg, tcfg=tcfg)
+        ref_w, ref_b, ref_trace = train_task_reference(
+            model.weights, model.biases, X, y,
+            None if teacher is None else (teacher.model.weights, teacher.model.biases),
+            temperature=2.0, beta=0.5, epochs=5, batch_size=batch_size,
+            learning_rate=0.05, momentum=momentum, seed=3,
+        )
+        assert trace == ref_trace
+        for got, want in zip(trained.weights + trained.biases, ref_w + ref_b):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_inputs_untouched_and_unshared(self):
+        X, y = _task(40, 2, np.float64, seed=4)
+        model = init_mlp(2, (8,), 6, seed=5)
+        teacher = snapshot_teacher(init_mlp(2, (8,), 4, seed=6))
+        before = [a.tobytes() for a in model.weights + model.biases]
+        before_t = [a.tobytes() for a in teacher.model.weights + teacher.model.biases]
+        trained, _ = train_task(model, X, y, teacher, tcfg=TrainConfig(epochs=3, batch_size=16))
+        assert [a.tobytes() for a in model.weights + model.biases] == before
+        assert [a.tobytes() for a in teacher.model.weights + teacher.model.biases] == before_t
+        theirs = model.weights + model.biases + teacher.model.weights + teacher.model.biases
+        for mine in trained.weights + trained.biases:
+            assert not any(np.shares_memory(mine, other) for other in theirs)
+
+    @pytest.mark.parametrize("n,batch_size", [(40, 16), (48, 16), (10, 32)])
+    def test_teacher_runs_once_per_task_and_short_batch(self, monkeypatch, n, batch_size):
+        X, y = _task(n, 2, np.float64, seed=7)
+        teacher = snapshot_teacher(init_mlp(2, (8,), 4, seed=8))
+        teacher_rows = []
+        forward = learner.forward_batch
+
+        def counting(model, X):
+            if model is teacher.model:
+                teacher_rows.append(len(X))
+            return forward(model, X)
+
+        monkeypatch.setattr(learner, "forward_batch", counting)
+        epochs = 6
+        train_task(init_mlp(2, (8,), 6, seed=9), X, y, teacher,
+                   tcfg=TrainConfig(epochs=epochs, batch_size=batch_size))
+        full = min(n, batch_size)
+        # every row in -(-n // full) forwards of `full` rows, then one forward
+        # per epoch of the short last batch
+        assert teacher_rows == [full] * -(-n // full) + [n % full] * epochs * (n % full > 0)
 
 
 class TestInference:
