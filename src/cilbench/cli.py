@@ -6,7 +6,9 @@ Subcommands:
   verify    -- run the built-in property/oracle battery
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
-diverged (the loss went non-finite; no result files are written).
+diverged (the loss went non-finite; the result files hold the tasks
+finished before the divergence, and none are written if the first task
+diverged).
 """
 
 from __future__ import annotations

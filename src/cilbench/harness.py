@@ -21,7 +21,7 @@ import numpy as np
 
 from . import learner, sampler
 from .data import Dataset, StreamSpec, load_cifar100, make_blobs, make_stream
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .learner import LossConfig, MlpModel, TrainConfig
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
 from .sampler import ExemplarStore, SamplerParams, allocate_quota
@@ -256,6 +256,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
     slot_of = np.full(ds.num_classes, -1, dtype=np.int64)  # class -> head slot
     records: list[MetricsRecord] = []
     accuracies: list[float] = []
+    finished: RunResult | None = None  # the state after the last finished task
 
     for task in tasks:
         t0 = time.perf_counter()
@@ -285,9 +286,16 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         tcfg = dataclasses.replace(
             cfg.train, seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index)
         )
-        model, _trace = learner.train_task(
-            model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher, lcfg=cfg.loss, tcfg=tcfg
-        )
+        try:
+            model, _trace = learner.train_task(
+                model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
+                lcfg=cfg.loss, tcfg=tcfg,
+            )
+        except DivergenceError as exc:
+            # the store is updated after training, so it still holds the
+            # memory of the finished tasks
+            exc.partial = finished
+            raise
         teacher = learner.snapshot_teacher(model)
 
         # memory update: re-select for classes present, shrink the rest
@@ -321,9 +329,10 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                 warnings=warnings,
             )
         )
-    return RunResult(
-        records=records, store=store, model=model, class_order_seen=slot_to_class
-    )
+        finished = RunResult(
+            records=records, store=store, model=model, class_order_seen=list(slot_to_class)
+        )
+    return finished
 
 
 def exemplar_class_means(
@@ -457,8 +466,17 @@ def _write_files(out_dir: str, files: dict[str, str]) -> None:
 
 
 def run_and_emit(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    result = run_experiment(cfg)
-    emit_results(result, cfg, out_dir or cfg.out_dir)
+    """Run the experiment and write its result files.  A run that diverges
+    after its first task writes the files of the tasks it finished, then
+    re-raises the DivergenceError."""
+    out_dir = out_dir or cfg.out_dir
+    try:
+        result = run_experiment(cfg)
+    except DivergenceError as exc:
+        if exc.partial is not None:
+            emit_results(exc.partial, cfg, out_dir)
+        raise
+    emit_results(result, cfg, out_dir)
     return result
 
 

@@ -49,6 +49,14 @@ class TsneConfig:
             raise ConfigurationError("perplexity must be >= 2")
         if self.init not in ("pca", "random"):
             raise ConfigurationError(f"unknown init {self.init!r}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("learning_rate must be > 0")
+        if not self.early_exaggeration >= 1:
+            raise ConfigurationError("early_exaggeration must be >= 1")
+        if min(self.exaggeration_iters, self.momentum_switch_iter) < 0:
+            raise ConfigurationError("exaggeration_iters and momentum_switch_iter must be >= 0")
+        if not (0 <= self.momentum_start < 1 and 0 <= self.momentum_final < 1):
+            raise ConfigurationError("momentum_start and momentum_final must be in [0, 1)")
 
 
 def _as_matrix(X) -> np.ndarray:

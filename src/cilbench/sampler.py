@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, DataError
 
@@ -147,6 +146,9 @@ def verify_selection(E, p: SamplerParams, selection: list[int]) -> VerifyResult:
         return VerifyResult(False, "duplicate indices in selection")
     if any(not 0 <= i < n_pts for i in selection):
         return VerifyResult(False, "index out of range")
+
+    # Imported here: scipy takes 0.5 s and ~37 MB to import; only this oracle needs it.
+    from scipy.spatial.distance import cdist
 
     dist = cdist(pts, pts)
     d_mean = cdist(pts, pts.mean(axis=0, keepdims=True))[:, 0]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cilbench import learner
 from cilbench.cli import main as cli_main
 from cilbench.data import StreamSpec, make_blobs, pack_cifar_record
-from cilbench.errors import ConfigurationError
+from cilbench.errors import ConfigurationError, DivergenceError
 from cilbench.harness import (
     BlobsSpec,
     RunConfig,
@@ -268,10 +268,13 @@ class TestCli:
             {"reduce_dim": "2"},
             {"reduce_dim": 0},
             {"blobs": {"dim": 0}},
+            {"tsne": {"learning_rate": -200.0}},
+            {"tsne": {"momentum_final": 5.0}},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
-             "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim"],
+             "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
+             "tsne-negative-lr", "tsne-momentum-above-one"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
@@ -295,6 +298,41 @@ class TestCli:
         assert err.startswith("training diverged: non-finite loss at epoch")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_divergence_after_first_task_keeps_finished_tasks(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        cfg = small_config(out_dir=str(out))
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+        full_rows = (tmp_path / "full" / "metrics.csv").read_text().splitlines()
+        capsys.readouterr()
+
+        train_task, calls = learner.train_task, []
+
+        def diverge_on_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DivergenceError(3)
+            return train_task(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "train_task", diverge_on_second_call)
+        assert cli_main(["run", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert err == "training diverged: non-finite loss at epoch 3\n"
+        # the four result files and no .tmp left behind
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "exemplars.json", "metrics.csv", "timings.csv"
+        ]
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 2
+        masked = lambda row: row.rsplit(",", 1)[0]  # drop the seconds column
+        assert masked(rows[1]) == masked(full_rows[1])
+        assert len((out / "timings.csv").read_text().splitlines()) == 2
+        assert config_from_dict(json.loads((out / "config.json").read_text())) == cfg
+        # memory as it stood after task 0: its two classes only
+        stored = json.loads((out / "exemplars.json").read_text())["classes"]
+        assert len(stored) == 2
+        assert sum(len(c["indices_into_train"]) for c in stored) == int(rows[1].split(",")[3])
 
     def test_data_error_exit_code(self, tmp_path):
         truncated = tmp_path / "bad.bin"

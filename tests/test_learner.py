@@ -255,6 +255,14 @@ class TestTraining:
         with pytest.raises(ShapeError):
             train_task(model, np.zeros((1, 2)), np.array([-1]), tcfg=TrainConfig(epochs=1))
 
+    def test_negative_label_in_batch_loss(self):
+        # -1 must not be scored as the last class of a 3-class head.
+        model = init_mlp(2, (4,), 3, seed=20)
+        with pytest.raises(ShapeError):
+            batch_loss_and_grads(model, np.zeros((2, 2)), np.array([-1, 0]), None, LossConfig())
+        with pytest.raises(ShapeError):
+            batch_loss_and_grads(model, np.zeros((2, 2)), np.array([3, 0]), None, LossConfig())
+
     def test_teacher_wider_than_head(self):
         model = init_mlp(2, (4,), 2, seed=20)
         teacher = snapshot_teacher(init_mlp(2, (4,), 3, seed=21))

@@ -90,6 +90,25 @@ class TestAffinities:
 
 
 class TestTsne:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 0.0), ("learning_rate", -200.0),
+            ("early_exaggeration", 0.5),
+            ("exaggeration_iters", -1), ("momentum_switch_iter", -1),
+            ("momentum_start", -0.1), ("momentum_start", 1.0),
+            ("momentum_final", 1.0), ("momentum_final", 5.0),
+        ],
+    )
+    def test_config_out_of_range(self, field, value):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(TsneConfig(), **{field: value}).validate()
+
+    def test_config_range_edges_accepted(self):
+        TsneConfig(early_exaggeration=1.0, exaggeration_iters=0, momentum_switch_iter=0,
+                   momentum_start=0.0, momentum_final=0.0).validate()
+        TsneConfig(iterations=40, exaggeration_iters=90).validate()
+
     def test_shape_and_finiteness(self):
         X, _ = three_clusters(8)
         emb = tsne_reduce(X, TsneConfig(iterations=80, seed=1))
