@@ -79,15 +79,23 @@ def pca_reduce(X, d: int) -> Embedding:
     if not 1 <= d <= min(n, dim):
         raise ConfigurationError(f"d={d} out of range for {n}x{dim} input")
     centered = M - M.mean(axis=0)
-    # economy SVD instead of a DxD eigendecomposition: rows may be far
-    # shorter than the feature dimension (e.g. pixel data)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    comp = vt[:d].T
-    for j in range(comp.shape[1]):
-        k = np.argmax(np.abs(comp[:, j]))
-        if comp[k, j] < 0:
-            comp[:, j] = -comp[:, j]
-    return Embedding(points=centered @ comp)
+    # eigenvectors of the smaller Gram matrix: rows may be far fewer than
+    # features (pixel data) or far more (low-dimensional embeddings)
+    wide = n <= dim
+    gram = centered @ centered.T if wide else centered.T @ centered
+    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = evals[::-1][:d], evecs[:, ::-1][:, :d]
+    # a component at the rounding level of the largest carries no variance
+    # and gets zero coordinates instead of a direction made of noise
+    live = evals > evals[0] * max(n, dim) * np.finfo(np.float64).eps
+    comp = evecs[:, live]
+    if wide:  # unit row-space eigenvectors to unit feature directions
+        comp = centered.T @ (comp / np.sqrt(evals[live]))
+    k = np.argmax(np.abs(comp), axis=0)
+    comp *= np.where(comp[k, np.arange(comp.shape[1])] < 0, -1.0, 1.0)
+    points = np.zeros((n, d))
+    points[:, live] = centered @ comp
+    return Embedding(points=points)
 
 
 def pairwise_sq_dists(Y: np.ndarray) -> np.ndarray:
@@ -97,16 +105,18 @@ def pairwise_sq_dists(Y: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _row_affinities(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Gaussian affinities for one row at precision beta; returns (p, entropy in nats)."""
-    w = np.exp(-d2_row * beta)
-    s = w.sum()
-    if s <= 0:
-        p = np.zeros_like(w)
-        return p, 0.0
-    p = w / s
-    # H = ln(sum w) + beta * <d2>_p
-    h = np.log(s) + beta * float(np.dot(d2_row, p))
+def _row_affinities(rows: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian affinities of each row at its precision; returns (p, entropy in nats)."""
+    w = np.exp(-rows * beta[:, None])
+    s = w.sum(axis=1)
+    ok = s > 0
+    p = np.divide(w, s[:, None], out=np.zeros_like(w), where=ok[:, None])
+    # H = ln(sum w) + beta * <d2>_p; a stack of row-by-column matmuls is one
+    # dot product per row, so each row's entropy is what np.dot gives it
+    dots = np.matmul(rows[:, None, :], p[:, :, None])[:, 0, 0]
+    h = np.zeros_like(s)
+    np.log(s, out=h, where=ok)
+    h[ok] += beta[ok] * dots[ok]
     return p, h
 
 
@@ -114,25 +124,29 @@ def conditional_affinities(
     d2: np.ndarray, perplexity: float, tol: float = 1e-5, max_steps: int = 50
 ) -> np.ndarray:
     """Per-row Gaussian affinities with bandwidths bisected to the target
-    perplexity (entropy target log(perplexity), self excluded)."""
+    perplexity (entropy target log(perplexity), self excluded).  All rows
+    bisect together; a row stops once its entropy is within tol."""
     n = d2.shape[0]
     target = np.log(perplexity)
+    off_diag = ~np.eye(n, dtype=bool)
+    rows = d2[off_diag].reshape(n, n - 1)
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    p, h = _row_affinities(rows, beta)
+    active = np.arange(n)
+    for _ in range(max_steps):
+        active = active[~(np.abs(h[active] - target) < tol)]
+        if active.size == 0:
+            break
+        b, low, high = beta[active], lo[active], hi[active]
+        smooth = h[active] > target  # too smooth: raise precision
+        lo[active] = np.where(smooth, b, low)
+        hi[active] = np.where(smooth, high, b)
+        beta[active] = np.where(
+            smooth, np.where(np.isinf(high), b * 2.0, (b + high) / 2.0), (b + low) / 2.0
+        )
+        p[active], h[active] = _row_affinities(rows[active], beta[active])
     P = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, lo, hi = 1.0, 0.0, np.inf
-        p, h = _row_affinities(row, beta)
-        for _ in range(max_steps):
-            if abs(h - target) < tol:
-                break
-            if h > target:  # too smooth: raise precision
-                lo = beta
-                beta = beta * 2.0 if np.isinf(hi) else (beta + hi) / 2.0
-            else:
-                hi = beta
-                beta = (beta + lo) / 2.0
-            p, h = _row_affinities(row, beta)
-        P[i, np.arange(n) != i] = p
+    P[off_diag] = p.ravel()
     return P
 
 

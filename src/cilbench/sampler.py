@@ -35,7 +35,7 @@ class SamplerParams:
             raise ConfigurationError("m must be >= 1")
         if self.n < 0:
             raise ConfigurationError("n must be >= 0")
-        if self.r0 <= 0 or self.delta_r <= 0:
+        if not (self.r0 > 0 and self.delta_r > 0):  # NaN fails too
             raise ConfigurationError("r0 and delta_r must be positive")
         if self.max_adapt < 1:
             raise ConfigurationError("max_adapt must be >= 1")
@@ -66,20 +66,24 @@ def diverse_sample(E, p: SamplerParams) -> list[int]:
     m = min(p.m, n_pts)
 
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    # a row has at least k others within r exactly when entry k of its
+    # sorted distance row (entry 0 is the row itself, at 0) is <= r
+    ranked = np.sort(dist, axis=1)
     selected = [_seed_index(pts)]
+    taken = np.zeros(n_pts, dtype=bool)
+    taken[selected[0]] = True
     d_sel = dist[selected[0]].copy()
 
     # with fewer than n other points no radius passes the filter, and the
     # levels above N - 1 would each end where this one starts
     n_req, radius = min(p.n, n_pts - 1), p.r0
     bumps = 0
-    counts = np.sum(dist <= radius, axis=1) - 1
+    kth = ranked[:, n_req]
     while len(selected) < m:
-        remaining = np.setdiff1d(np.arange(n_pts), selected, assume_unique=False)
-        # decreasing d_sel, ties toward the lowest index
-        order = remaining[np.lexsort((remaining, -d_sel[remaining]))]
-        qualifying = order[counts[order] >= n_req]
-        if qualifying.size == 0:
+        # replay the bump/relax schedule up to the first radius at which an
+        # untaken row qualifies; radius accumulates in floats as it always has
+        need = kth[~taken].min()
+        while need > radius:
             if bumps < p.max_adapt:
                 radius += p.delta_r
                 bumps += 1
@@ -87,11 +91,13 @@ def diverse_sample(E, p: SamplerParams) -> list[int]:
                 n_req -= 1
                 radius = p.r0
                 bumps = 0
-            counts = np.sum(dist <= radius, axis=1) - 1
-            continue
-        pick = int(qualifying[0])
+                kth = ranked[:, n_req]
+                need = kth[~taken].min()
+        # farthest qualifying row; argmax breaks ties toward the lowest index
+        pick = int(np.argmax(np.where(taken | (kth > radius), -np.inf, d_sel)))
         selected.append(pick)
-        d_sel = np.minimum(d_sel, dist[pick])
+        taken[pick] = True
+        np.minimum(d_sel, dist[pick], out=d_sel)
     return selected
 
 

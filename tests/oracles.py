@@ -5,10 +5,12 @@ Each function here is the textbook one-row form of a computation that
 cilbench runs only in batched form: the distilled softmax, the
 cross-entropy and distillation losses and their beta mix, the
 nearest-mean-of-exemplars classifier, and the k-center covering radius.
-It also keeps two earlier loops as bit-exact references for the code
-that replaced them: the unfused t-SNE descent, which evaluates its kernel
-twice per step, and the training loop that ran the teacher on every
-mini-batch and built fresh momentum arrays at every step.
+It also keeps earlier code as references for the code that replaced it.
+Bit-exact: the unfused t-SNE descent, which evaluates its kernel twice
+per step; the training loop that ran the teacher on every mini-batch and
+built fresh momentum arrays at every step; the sampler loop that
+recounted every row's neighbours at each radius bump; and the
+row-by-row perplexity bisection.  To a tolerance: the economy-SVD PCA.
 The module imports nothing from cilbench except its error types, so an
 oracle never shares code with what it checks.
 """
@@ -207,3 +209,90 @@ def train_task_reference(
             raise DivergenceError(epoch)
         trace.append(epoch_loss)
     return weights, biases, trace
+
+
+def diverse_sample_reference(pts, *, m: int, n: int, r0: float, delta_r: float,
+                             max_adapt: int) -> list[int]:
+    """Outlier-filtered farthest-point selection as one pass per radius
+    bump: recount the neighbours of every row within r at each bump, sort
+    the unselected rows by decreasing distance to the selection (ties to
+    the lowest index) and take the first that has at least n_req others
+    within r.  With none, r grows by delta_r; after max_adapt bumps n_req
+    drops by 1 and r resets to r0."""
+    pts = np.asarray(pts, dtype=np.float64)
+    n_pts = pts.shape[0]
+    m = min(m, n_pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    selected = [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
+    d_sel = dist[selected[0]].copy()
+    n_req, radius = min(n, n_pts - 1), r0
+    bumps = 0
+    counts = np.sum(dist <= radius, axis=1) - 1
+    while len(selected) < m:
+        remaining = np.setdiff1d(np.arange(n_pts), selected, assume_unique=False)
+        order = remaining[np.lexsort((remaining, -d_sel[remaining]))]
+        qualifying = order[counts[order] >= n_req]
+        if qualifying.size == 0:
+            if bumps < max_adapt:
+                radius += delta_r
+                bumps += 1
+            else:
+                n_req -= 1
+                radius = r0
+                bumps = 0
+            counts = np.sum(dist <= radius, axis=1) - 1
+            continue
+        pick = int(qualifying[0])
+        selected.append(pick)
+        d_sel = np.minimum(d_sel, dist[pick])
+    return selected
+
+
+def pca_svd(X, d: int) -> np.ndarray:
+    """Mean-centred projection onto the top-d right singular vectors of an
+    economy SVD, each signed so that its largest-magnitude loading is
+    positive."""
+    centered = np.asarray(X, dtype=np.float64)
+    centered = centered - centered.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    comp = vt[:d].T
+    for j in range(comp.shape[1]):
+        k = np.argmax(np.abs(comp[:, j]))
+        if comp[k, j] < 0:
+            comp[:, j] = -comp[:, j]
+    return centered @ comp
+
+
+def _row_affinities(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    w = np.exp(-d2_row * beta)
+    s = w.sum()
+    if s <= 0:
+        return np.zeros_like(w), 0.0
+    p = w / s
+    return p, np.log(s) + beta * float(np.dot(d2_row, p))
+
+
+def conditional_affinities_per_row(
+    d2: np.ndarray, perplexity: float, tol: float = 1e-5, max_steps: int = 50
+) -> np.ndarray:
+    """Gaussian affinities row by row, each row's precision bisected until
+    its entropy (self excluded) is within tol of log(perplexity)."""
+    n = d2.shape[0]
+    target = np.log(perplexity)
+    P = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        beta, lo, hi = 1.0, 0.0, np.inf
+        p, h = _row_affinities(row, beta)
+        for _ in range(max_steps):
+            if abs(h - target) < tol:
+                break
+            if h > target:
+                lo = beta
+                beta = beta * 2.0 if np.isinf(hi) else (beta + hi) / 2.0
+            else:
+                hi = beta
+                beta = (beta + lo) / 2.0
+            p, h = _row_affinities(row, beta)
+        P[i, np.arange(n) != i] = p
+    return P

@@ -59,6 +59,75 @@ class TestPca:
             pca_reduce(np.zeros((5, 3)), 4)
 
 
+def gapped(n, dim, rank, seed, offset=3.0):
+    """n x dim rows of rank `rank` after centring, singular values 40, 20,
+    10, ...: every leading direction is separated by a factor-2 gap."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, rank))
+    u = np.linalg.qr(a - a.mean(axis=0))[0]  # orthonormal, zero-mean columns
+    v = np.linalg.qr(rng.normal(size=(dim, rank)))[0]
+    return (u * (40.0 / 2.0 ** np.arange(rank))) @ v.T + offset * rng.normal(size=dim)
+
+
+def directions(X, points):
+    """The unit directions that pca_reduce projected onto, recovered from
+    its output by least squares in the row space of the centred input."""
+    centered = X - X.mean(axis=0)
+    return np.linalg.lstsq(centered, points, rcond=None)[0]
+
+
+class TestPcaAgainstSvd:
+    """The Gram-matrix PCA against the economy-SVD PCA it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, dim, rank, d",
+        [(25, 3072, 24, 2), (25, 3072, 24, 5), (160, 32, 32, 2), (160, 32, 32, 8),
+         (6, 10, 5, 5), (40, 12, 3, 3)],
+        ids=["wide-2", "wide-5", "tall-2", "tall-8", "d-is-rank-wide", "d-is-rank-tall"],
+    )
+    def test_agrees_with_svd(self, n, dim, rank, d):
+        X = gapped(n, dim, rank, seed=n + dim)
+        points = pca_reduce(X, d).points
+        ref = oracles.pca_svd(X, d)
+        assert np.max(np.abs(points - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "X, d, live",
+        [
+            (np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 1.0, 0.0, 3.0]]), 2, 1),
+            (np.repeat(gapped(3, 6, 2, seed=1), [2, 1, 3], axis=0), 4, 2),
+            (np.repeat(gapped(3, 40, 2, seed=2), [4, 1, 2], axis=0), 5, 2),
+            (np.full((5, 4), 7.25), 3, 0),
+        ],
+        ids=["two-rows", "duplicate-rows-tall", "duplicate-rows-wide", "identical-rows"],
+    )
+    def test_rank_deficient_gives_zero_null_coordinates(self, X, d, live):
+        points = pca_reduce(X, d).points
+        assert points.shape == (len(X), d) and np.all(np.isfinite(points))
+        assert np.all(points[:, live:] == 0.0)
+        ref = oracles.pca_svd(X, d)[:, :live]
+        assert np.max(np.abs(points[:, :live] - ref), initial=0.0) <= 1e-9 * np.max(np.abs(X))
+
+    @pytest.mark.parametrize("n, dim", [(30, 3), (4, 9)], ids=["tall", "wide"])
+    def test_largest_loading_positive(self, n, dim):
+        # data on one line whose largest loading is negative: the output
+        # direction is its negation
+        v = np.zeros(dim)
+        v[:3] = [0.3, -0.9, 0.2]
+        t = np.linspace(-2.0, 3.0, n)
+        X = t[:, None] * v + 1.5
+        points = pca_reduce(X, 1).points[:, 0]
+        assert np.allclose(points, -(t - t.mean()) * np.linalg.norm(v), atol=1e-12)
+
+    @pytest.mark.parametrize("n, dim, d", [(25, 3072, 2), (160, 32, 2), (8, 8, 7)])
+    def test_directions_signed_and_orthonormal(self, n, dim, d):
+        X = gapped(n, dim, min(n - 1, dim), seed=7)
+        comp = directions(X, pca_reduce(X, d).points)
+        assert np.allclose(comp.T @ comp, np.eye(d), atol=1e-9)
+        largest = comp[np.argmax(np.abs(comp), axis=0), np.arange(d)]
+        assert np.all(largest > 0)
+
+
 class TestAffinities:
     def test_conditional_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -87,6 +156,37 @@ class TestAffinities:
             row = P[i][P[i] > 0]
             entropy = -np.sum(row * np.log(row))
             assert abs(entropy - np.log(8.0)) < 1e-4
+
+
+class TestBatchedBisection:
+    """conditional_affinities against the row-by-row bisection it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, dim, scale, perplexity",
+        [(160, 32, 1.0, 30.0), (160, 32, 0.05, 30.0), (50, 5, 3.0, 16.33),
+         (7, 3, 1.0, 2.0), (24, 8, 40.0, 7.67), (300, 2, 1.0, 30.0)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_per_row_loop(self, n, dim, scale, perplexity, seed):
+        rng = np.random.default_rng([n, seed])
+        d2 = pairwise_sq_dists(rng.normal(0.0, scale, size=(n, dim)))
+        assert np.array_equal(
+            conditional_affinities(d2, perplexity),
+            oracles.conditional_affinities_per_row(d2, perplexity),
+        )
+
+    def test_duplicates_and_underflow(self):
+        # duplicate rows never reach the target (max_steps runs out) and the
+        # far rows start with every weight underflowed to 0
+        rng = np.random.default_rng(5)
+        X = np.vstack([np.zeros((6, 3)), rng.normal(0.0, 1e3, size=(10, 3))])
+        d2 = pairwise_sq_dists(X)
+        for max_steps in (0, 1, 50):
+            P = conditional_affinities(d2, 4.0, max_steps=max_steps)
+            assert np.array_equal(
+                P, oracles.conditional_affinities_per_row(d2, 4.0, max_steps=max_steps)
+            )
+            assert np.all(np.isfinite(P)) and np.all(np.diag(P) == 0.0)
 
 
 class TestTsne:

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,7 @@ from cilbench.sampler import (
     random_sample,
     verify_selection,
 )
-from oracles import covering_radius
+from oracles import covering_radius, diverse_sample_reference
 
 WORKED = np.array([[0, 0], [1, 0], [0.1, 0], [10, 10]], dtype=float)
 
@@ -108,6 +109,70 @@ class TestDiverseSample:
             for m in range(1, 12)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(radii, radii[1:]))
+
+
+def reference_selection(pts, p: SamplerParams) -> list[int]:
+    return diverse_sample_reference(
+        pts, m=p.m, n=p.n, r0=p.r0, delta_r=p.delta_r, max_adapt=p.max_adapt
+    )
+
+
+def random_instance(rng, kind: str) -> np.ndarray:
+    n_pts, dim = int(rng.integers(1, 31)), int(rng.integers(1, 4))
+    if kind == "grid":  # integer coordinates: exact distance ties everywhere
+        return rng.integers(0, 4, size=(n_pts, dim)).astype(float)
+    pts = rng.normal(0.0, float(rng.uniform(0.1, 5.0)), size=(n_pts, dim))
+    if kind == "duplicates":
+        pts = pts[rng.integers(0, max(1, n_pts // 3), size=n_pts)]
+    return pts
+
+
+class TestAgainstReferenceLoop:
+    """The sorted-row sampler against the recount-per-bump loop it replaced."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["normal", "grid", "duplicates"]),
+        n=st.integers(0, 8),
+        r0=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 3.0, 1e3]),
+        delta_r=st.sampled_from([0.05, 0.1, 0.25, 1.0]),
+        max_adapt=st.sampled_from([1, 2, 3, 40, 1000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_selection(self, seed, kind, n, r0, delta_r, max_adapt):
+        rng = np.random.default_rng(seed)
+        pts = random_instance(rng, kind)
+        m = int(rng.integers(1, len(pts) + 3))
+        params = SamplerParams(m=m, n=n, r0=r0, delta_r=delta_r, max_adapt=max_adapt)
+        assert diverse_sample(pts, params) == reference_selection(pts, params)
+
+    @pytest.mark.parametrize(
+        "pts, params",
+        [
+            # starved: N <= n, so every level above N - 1 is skipped
+            (np.array([[0.0, 0.0], [3.0, 0.0]]), SamplerParams(m=2, n=5)),
+            (np.array([[1.0, 2.0]]), SamplerParams(m=3, n=5)),
+            # one bump per level: n is relaxed down to 0 before row 3 qualifies
+            (np.array([[0.0], [1.0], [2.0], [10.0]]),
+             SamplerParams(m=4, n=3, r0=0.5, delta_r=0.5, max_adapt=1)),
+            # every row a duplicate of one of two points
+            (np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 3),
+             SamplerParams(m=7, n=3, r0=0.1, max_adapt=3)),
+            # a radius that already covers everything
+            (np.arange(12, dtype=float).reshape(6, 2), SamplerParams(m=6, n=4, r0=1e6)),
+        ],
+        ids=["starved-2", "starved-1", "relax-to-zero", "duplicates", "huge-r0"],
+    )
+    def test_edge_cases(self, pts, params):
+        out = diverse_sample(pts, params)
+        assert out == reference_selection(pts, params)
+        assert verify_selection(pts, params, out)
+
+    @pytest.mark.parametrize("field", ["r0", "delta_r"])
+    def test_nan_radius_rejected(self, field):
+        params = dataclasses.replace(SamplerParams(m=2, n=1), **{field: float("nan")})
+        with pytest.raises(ConfigurationError):
+            diverse_sample(WORKED, params)
 
 
 class TestGonzalez:
