@@ -11,6 +11,7 @@ from .data import (
     LabeledExample,
     StreamSpec,
     TaskBatch,
+    as_features,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
@@ -73,6 +74,7 @@ __all__ = [
     "TrainConfig",
     "TsneConfig",
     "allocate_quota",
+    "as_features",
     "average_accuracy",
     "diverse_sample",
     "emit_results",

@@ -32,7 +32,8 @@ class Dataset:
     """Features as (rows, dim) matrices and labels as int arrays, per split.
 
     Everything downstream of loading refers to training rows by their
-    index into X_train.
+    index into X_train.  CIFAR features are the file's pixel bytes
+    (uint8); as_features scales the rows a step uses.
     """
 
     X_train: np.ndarray
@@ -45,8 +46,8 @@ class Dataset:
     train_coarse: np.ndarray | None = None
     test_coarse: np.ndarray | None = None
 
-    # Per-row views for readers that predate the arrays; cilbench itself
-    # never builds them.
+    # Per-row views of the stored rows for readers that predate the arrays;
+    # cilbench itself never builds them.
     @property
     def train(self) -> list[LabeledExample]:
         return [LabeledExample(x, int(c)) for x, c in zip(self.X_train, self.y_train)]
@@ -94,6 +95,15 @@ class TaskBatch:
     warnings: list[str] = field(default_factory=list)
 
 
+def as_features(X: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """Feature rows as floats.  Pixel bytes (uint8) become byte / 255,
+    computed in float32 and written into an array of dtype; float rows
+    pass through, widened only where dtype is wider."""
+    if X.dtype != np.uint8:
+        return X.astype(np.promote_types(X.dtype, dtype), copy=False)
+    return np.divide(X, np.float32(255), out=np.empty(X.shape, dtype), dtype=np.float32)
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -113,8 +123,9 @@ def pack_cifar_record(coarse: int, fine: int, pixels: np.ndarray) -> bytes:
 def load_cifar100(path: str, split: str = "train") -> Dataset:
     """Load a CIFAR-100 binary file (train.bin / test.bin layout).
 
-    Each record is [coarse][fine][1024 R][1024 G][1024 B]; pixel bytes
-    are scaled to [0, 1] float32 and the fine label is used as the class.
+    Each record is [coarse][fine][1024 R][1024 G][1024 B]; the features
+    are the pixel bytes as read (uint8, a view of the records; see
+    as_features) and the fine label is used as the class.
     The class count is the largest fine label + 1, so a file holding a
     subset of the 100 labels runs as a smaller problem.  A training file
     must hold every label below its largest: a class without rows would
@@ -142,7 +153,7 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
                 f"{path}: no records for fine labels {missing.tolist()} "
                 f"below the largest label {fine.max()}"
             )
-    pixels = arr[:, 2:].astype(np.float32) / 255.0
+    pixels = arr[:, 2:]
     # the other split is empty
     ds = Dataset(
         pixels[:0], fine[:0], pixels[:0], fine[:0], int(fine.max()) + 1, CIFAR_PIXELS

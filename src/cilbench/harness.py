@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learner, sampler
-from .data import Dataset, StreamSpec, load_cifar100, make_blobs, make_stream
+from .data import Dataset, StreamSpec, as_features, load_cifar100, make_blobs, make_stream
 from .errors import ConfigurationError, DivergenceError
 from .learner import LossConfig, MlpModel, TrainConfig
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
@@ -288,7 +288,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         )
         try:
             model, _trace = learner.train_task(
-                model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
+                model, as_features(ds.X_train[rows]), slot_of[ds.y_train[rows]], teacher,
                 lcfg=cfg.loss, tcfg=tcfg,
             )
         except DivergenceError as exc:
@@ -304,7 +304,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             store.shrink_class(cls, quotas[slot_of[cls]])
         for cls in labels_here:
             class_rows = task_rows[task_labels == cls]
-            feats = ds.X_train[class_rows].astype(np.float64)
+            feats = as_features(ds.X_train[class_rows], np.float64)
             emb = _reduce_class(cfg, feats, task.task_index, cls)
             warnings += [f"class {cls}: {w}" for w in emb.warnings]
             quota = quotas[slot_of[cls]]
@@ -316,7 +316,8 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         if cfg.classifier == "nme":
             class_means = exemplar_class_means(model, ds.X_train, store)
         acc = evaluate(
-            model, ds.X_test[seen], ds.y_test[seen], cfg.classifier, class_means, slot_to_class
+            model, as_features(ds.X_test[seen], np.float64), ds.y_test[seen],
+            cfg.classifier, class_means, slot_to_class,
         )
         accuracies.append(acc)
         records.append(
@@ -343,7 +344,7 @@ def exemplar_class_means(
     for cls, rows in store.train_indices.items():
         if not rows:
             continue
-        _, acts = learner.forward_batch(model, X_train[rows])
+        _, acts = learner.forward_batch(model, as_features(X_train[rows], np.float64))
         means[cls] = acts[-1].mean(axis=0)
     return means
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ShapeError
+from .errors import ConfigurationError, DataError, DivergenceError, ShapeError
 
 _PROB_FLOOR = 1e-12
 
@@ -106,7 +106,10 @@ def grow_head(model: MlpModel, q_new: int, seed: int) -> MlpModel:
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns (logits, activations); activations[k] is the input to layer k."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    if X.dtype == np.uint8:
+        raise DataError("forward_batch got pixel bytes (uint8); scale them with as_features")
+    X = X.astype(np.float64, copy=False)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"input shape {X.shape} != (rows, {model.input_dim})")
     acts = [X]

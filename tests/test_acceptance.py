@@ -16,6 +16,7 @@ from cilbench.cli import main as cli_main
 from cilbench.data import (
     CIFAR_RECORD_BYTES,
     StreamSpec,
+    as_features,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
@@ -275,7 +276,9 @@ def test_12_cifar_ingestion(tmp_path):
     # load -> reserialize is byte-identical for every record
     raw = train_path.read_bytes()
     ds = load_cifar100(str(train_path), "train")
-    pixels = np.rint(ds.X_train.astype(np.float64) * 255.0).astype(np.uint8)
+    pixels = ds.X_train
+    ok &= bool(pixels.dtype == np.uint8)
+    ok &= bool(np.array_equal(np.rint(as_features(pixels, np.float64) * 255.0), pixels))
     for i in range(150):
         rec = raw[i * CIFAR_RECORD_BYTES : (i + 1) * CIFAR_RECORD_BYTES]
         ok &= pack_cifar_record(int(ds.train_coarse[i]), int(ds.y_train[i]), pixels[i]) == rec

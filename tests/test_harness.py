@@ -153,6 +153,49 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class TestPixelBytes:
+    """CIFAR rows stored as bytes and scaled per step give the results of
+    the float32 matrices the loader used to store."""
+
+    @pytest.fixture(scope="class")
+    def cifar_pair(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cifar")
+        rng = np.random.default_rng(3)
+        # four classes around distinct grey levels
+        for name, n in (("train.bin", 64), ("test.bin", 24)):
+            (root / name).write_bytes(b"".join(
+                pack_cifar_record(0, i % 4, np.clip(
+                    rng.normal(40 + 50 * (i % 4), 30, 3072), 0, 255).astype(np.uint8))
+                for i in range(n)
+            ))
+        return root
+
+    @pytest.mark.parametrize("classifier,reducer", [("softmax_head", "pca"), ("nme", "tsne")])
+    def test_same_results_as_float_matrices(self, cifar_pair, classifier, reducer):
+        cfg = small_config(
+            dataset="cifar100", cifar_train_path=str(cifar_pair / "train.bin"),
+            cifar_test_path=str(cifar_pair / "test.bin"), classifier=classifier,
+            reducer=reducer, hidden_sizes=(16,),
+            stream=StreamSpec(mode="disjoint", classes_per_task=2),
+        )
+        ds = load_dataset(cfg)
+        assert ds.X_train.dtype == ds.X_test.dtype == np.uint8
+        old = dataclasses.replace(
+            ds, X_train=ds.X_train.astype(np.float32) / 255.0,
+            X_test=ds.X_test.astype(np.float32) / 255.0,
+        )
+        new_run, old_run = run_experiment(cfg, ds), run_experiment(cfg, old)
+
+        def fields(records):
+            return [dataclasses.replace(r, seconds=0.0) for r in records]
+
+        assert fields(new_run.records) == fields(old_run.records)
+        for a, b in zip(new_run.model.weights + new_run.model.biases,
+                        old_run.model.weights + old_run.model.biases):
+            assert np.array_equal(a, b)
+        assert new_run.store.to_json() == old_run.store.to_json()
+
+
 class TestResultFiles:
     def test_emit_files(self, tmp_path):
         cfg = small_config()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cilbench import learner
-from cilbench.errors import ConfigurationError, ShapeError
+from cilbench.errors import ConfigurationError, DataError, ShapeError
 from cilbench.learner import (
     LossConfig,
     MlpModel,
@@ -57,6 +57,12 @@ class TestForward:
         model = init_mlp(3, (4,), 2, seed=0)
         with pytest.raises(ShapeError):
             forward_batch(model, np.zeros((1, 5)))
+
+    def test_pixel_bytes_rejected(self):
+        # unscaled 0-255 pixels must not reach the weights
+        model = init_mlp(3, (4,), 2, seed=0)
+        with pytest.raises(DataError, match="as_features"):
+            forward_batch(model, np.full((2, 3), 255, dtype=np.uint8))
 
     def test_logit_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)

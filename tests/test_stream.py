@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cilbench.data import (
     CIFAR_RECORD_BYTES,
     Dataset,
     StreamSpec,
+    as_features,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
@@ -47,8 +50,40 @@ class TestCifarLoader:
         path = tmp_path / "one.bin"
         write_cifar_file(path, [(3, c, np.full(3072, 255, dtype=np.uint8)) for c in range(8)])
         ds = load_cifar100(str(path), "train")
-        assert np.all(ds.train[7].features == 1.0)
+        assert ds.X_train.dtype == np.uint8
+        assert np.all(ds.train[7].features == 255)
+        assert np.all(as_features(ds.X_train[7:8]) == 1.0)
         assert ds.train[7].label == 7
+
+    def test_as_features_matches_float_scaling(self):
+        # every byte value gives the float32 the loader used to store, and
+        # its exact widening when float64 is asked for
+        byte = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        old = byte.astype(np.float32) / 255.0
+        new32 = as_features(byte)
+        new64 = as_features(byte, np.float64)
+        assert new32.dtype == np.float32 and np.array_equal(new32, old)
+        assert new64.dtype == np.float64 and np.array_equal(new64, old.astype(np.float64))
+        # float rows pass through; float32 rows are widened only on request
+        blobs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert as_features(blobs) is blobs and as_features(blobs, np.float64) is blobs
+        assert as_features(old) is old
+        assert np.array_equal(as_features(old, np.float64), old.astype(np.float64))
+
+    def test_load_peak_memory_near_file_size(self, tmp_path):
+        # the pixel bytes are kept as read: no float copy of the file
+        path = tmp_path / "mem.bin"
+        write_cifar_file(path, random_records(300, seed=2))
+        size = path.stat().st_size
+        load_cifar100(str(path), "train")  # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            ds = load_cifar100(str(path), "train")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.y_train) == 300
+        assert peak < 3 * size, f"peak {peak} bytes for a {size}-byte file"
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -76,7 +111,10 @@ class TestCifarLoader:
         write_cifar_file(path, records)
         raw = path.read_bytes()
         ds = load_cifar100(str(path), "train")
-        pixels = np.rint(ds.X_train.astype(np.float64) * 255.0).astype(np.uint8)
+        pixels = ds.X_train
+        assert pixels.dtype == np.uint8
+        # scaling to features and back loses no byte
+        assert np.array_equal(np.rint(as_features(pixels, np.float64) * 255.0), pixels)
         for i in range(20):
             original = raw[i * CIFAR_RECORD_BYTES : (i + 1) * CIFAR_RECORD_BYTES]
             repacked = pack_cifar_record(int(ds.train_coarse[i]), int(ds.y_train[i]), pixels[i])
