@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     abl_p.add_argument("--seeds", default=None, help="comma-separated seeds")
 
     ver_p = sub.add_parser("verify", help="run the property/oracle suite")
-    ver_p.add_argument("--config", required=False, help="unused, accepted for parity")
     ver_p.add_argument("--seed", type=int, default=0)
     return parser
 

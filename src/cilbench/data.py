@@ -42,9 +42,6 @@ class Dataset:
     y_test: np.ndarray
     num_classes: int
     dim: int
-    # coarse labels are kept only for CIFAR so records can be reserialized
-    train_coarse: np.ndarray | None = None
-    test_coarse: np.ndarray | None = None
 
     # Per-row views of the stored rows for readers that predate the arrays;
     # cilbench itself never builds them.
@@ -62,7 +59,6 @@ class StreamSpec:
     mode: str  # "disjoint" or "fuzzy"
     classes_per_task: int
     fuzz_percent: int = 0
-    seed: int = 0
     class_order: tuple[int, ...] | None = None
 
     def validate(self, num_classes: int | None = None) -> None:
@@ -125,11 +121,11 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
 
     Each record is [coarse][fine][1024 R][1024 G][1024 B]; the features
     are the pixel bytes as read (uint8, a view of the records; see
-    as_features) and the fine label is used as the class.
-    The class count is the largest fine label + 1, so a file holding a
-    subset of the 100 labels runs as a smaller problem.  A training file
-    must hold every label below its largest: a class without rows would
-    make an empty task.
+    as_features), the fine label is used as the class and the coarse
+    label is not kept.  The class count is the largest fine label + 1, so
+    a file holding a subset of the 100 labels runs as a smaller problem.
+    A training file must hold every label below its largest: a class
+    without rows would make an empty task.
     """
     if split not in ("train", "test"):
         raise ConfigurationError(f"split must be 'train' or 'test', got {split!r}")
@@ -141,7 +137,6 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
         )
     n = len(raw) // CIFAR_RECORD_BYTES
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
-    coarse = arr[:, 0].astype(np.int64)
     fine = arr[:, 1].astype(np.int64)
     if np.any(fine >= CIFAR_NUM_CLASSES):
         bad = int(np.argmax(fine >= CIFAR_NUM_CLASSES))
@@ -159,9 +154,9 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
         pixels[:0], fine[:0], pixels[:0], fine[:0], int(fine.max()) + 1, CIFAR_PIXELS
     )
     if split == "train":
-        ds.X_train, ds.y_train, ds.train_coarse = pixels, fine, coarse
+        ds.X_train, ds.y_train = pixels, fine
     else:
-        ds.X_test, ds.y_test, ds.test_coarse = pixels, fine, coarse
+        ds.X_test, ds.y_test = pixels, fine
     return ds
 
 
@@ -230,10 +225,10 @@ def make_blobs(
 # Task streams
 
 
-def _class_order(spec: StreamSpec, num_classes: int) -> list[int]:
+def _class_order(spec: StreamSpec, num_classes: int, seed: int) -> list[int]:
     if spec.class_order is not None:
         return list(spec.class_order)
-    rng = np.random.default_rng([spec.seed, 0x5EED])
+    rng = np.random.default_rng([seed, 0x5EED])
     return [int(c) for c in rng.permutation(num_classes)]
 
 
@@ -243,23 +238,23 @@ def _rows_of(y: np.ndarray, classes) -> np.ndarray:
     return np.concatenate([np.flatnonzero(y == c) for c in sorted(classes)])
 
 
-def make_disjoint_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
+def make_disjoint_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
     """Partition training data into tasks with pairwise-disjoint class sets."""
     if spec.mode != "disjoint":
         raise ConfigurationError("make_disjoint_stream requires mode='disjoint'")
     spec.validate(ds.num_classes)
-    order = _class_order(spec, ds.num_classes)
+    order = _class_order(spec, ds.num_classes, seed)
     q = spec.classes_per_task
     tasks = []
     for t in range(ds.num_classes // q):
         majors = set(order[t * q : (t + 1) * q])
         idx = _rows_of(ds.y_train, majors)
-        rng = np.random.default_rng([spec.seed, 0x7A5C, t])
+        rng = np.random.default_rng([seed, 0x7A5C, t])
         tasks.append(TaskBatch(t, majors, idx[rng.permutation(len(idx))]))
     return tasks
 
 
-def make_fuzzy_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
+def make_fuzzy_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
     """Build a fuzzy stream: each task mixes majors with Z% minor examples.
 
     Task size equals the task's full major-class pool size; round(Z% of it)
@@ -273,7 +268,7 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
     if not 0 < spec.fuzz_percent < 100:
         raise ConfigurationError("fuzzy mode requires 0 < fuzz_percent < 100")
     spec.validate(ds.num_classes)
-    order = _class_order(spec, ds.num_classes)
+    order = _class_order(spec, ds.num_classes, seed)
     labels = ds.y_train
     q = spec.classes_per_task
     z = spec.fuzz_percent / 100.0
@@ -289,7 +284,7 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
         task_size = len(pool)
         n_minor = _round_half_up(z * task_size)
         n_major = task_size - n_minor
-        rng = np.random.default_rng([spec.seed, 0xFA22, t])
+        rng = np.random.default_rng([seed, 0xFA22, t])
         picked = rng.permutation(len(pool))
         majors.append(pool[picked[:n_major]])
         donor[pool[picked[n_major:]]] = True
@@ -298,7 +293,7 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
     tasks = []
     for t in range(num_tasks):
         warnings: list[str] = []
-        rng = np.random.default_rng([spec.seed, 0x31B0, t])
+        rng = np.random.default_rng([seed, 0x31B0, t])
         other = ~np.isin(labels, list(major_sets[t]))
         eligible = np.flatnonzero(donor & other)
         need = minor_counts[t]
@@ -318,7 +313,7 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
     return tasks
 
 
-def make_stream(ds: Dataset, spec: StreamSpec) -> list[TaskBatch]:
+def make_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
     if spec.mode == "disjoint":
-        return make_disjoint_stream(ds, spec)
-    return make_fuzzy_stream(ds, spec)
+        return make_disjoint_stream(ds, spec, seed)
+    return make_fuzzy_stream(ds, spec, seed)

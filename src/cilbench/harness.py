@@ -175,7 +175,7 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     ds = load_cifar100(cfg.cifar_train_path, "train")
     if cfg.cifar_test_path:
         test = load_cifar100(cfg.cifar_test_path, "test")
-        ds.X_test, ds.y_test, ds.test_coarse = test.X_test, test.y_test, test.test_coarse
+        ds.X_test, ds.y_test = test.X_test, test.y_test
     return ds
 
 
@@ -184,12 +184,9 @@ def _reduce_class(cfg: RunConfig, feats: np.ndarray, task: int, cls: int):
         return Embedding(points=feats)
     if cfg.reducer == "pca":
         return pca_reduce(feats, min(cfg.reduce_dim, min(feats.shape)))
-    tsne_cfg = dataclasses.replace(
-        cfg.tsne,
-        target_dim=cfg.reduce_dim,
-        seed=_module_seed(cfg.seed, _SEED_REDUCE, task, cls),
+    return tsne_reduce(
+        feats, cfg.reduce_dim, _module_seed(cfg.seed, _SEED_REDUCE, task, cls), cfg.tsne
     )
-    return tsne_reduce(feats, tsne_cfg)
 
 
 def _select_exemplars(
@@ -246,8 +243,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         raise ConfigurationError(
             f"memory_budget {cfg.memory_budget} below class count {ds.num_classes}"
         )
-    spec = dataclasses.replace(cfg.stream, seed=_module_seed(cfg.seed, _SEED_STREAM, 1))
-    tasks = make_stream(ds, spec)
+    tasks = make_stream(ds, cfg.stream, _module_seed(cfg.seed, _SEED_STREAM, 1))
 
     store = ExemplarStore(budget=cfg.memory_budget)
     model: MlpModel | None = None
@@ -283,13 +279,11 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
 
         stored = [i for c in sorted(store.train_indices) for i in store.train_indices[c]]
         rows = np.concatenate([task_rows, np.asarray(stored, dtype=np.int64)])
-        tcfg = dataclasses.replace(
-            cfg.train, seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index)
-        )
         try:
             model, _trace = learner.train_task(
                 model, as_features(ds.X_train[rows]), slot_of[ds.y_train[rows]], teacher,
-                lcfg=cfg.loss, tcfg=tcfg,
+                seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
+                lcfg=cfg.loss, tcfg=cfg.train,
             )
         except DivergenceError as exc:
             # the store is updated after training, so it still holds the

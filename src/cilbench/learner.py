@@ -58,7 +58,6 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 0.01
     momentum: float = 0.01
-    seed: int = 0
 
     def validate(self) -> None:
         if min(self.epochs, self.batch_size) < 1:
@@ -247,12 +246,13 @@ def train_task(
     y: np.ndarray,
     teacher: TeacherSnapshot | None = None,
     *,
+    seed: int,
     lcfg: LossConfig = LossConfig(),
     tcfg: TrainConfig = TrainConfig(),
 ) -> tuple[MlpModel, list[float]]:
     """Mini-batch gradient descent with momentum on rows X with head-slot
     labels y; returns the trained model and the per-epoch mean loss trace.
-    Deterministic given tcfg.seed."""
+    Deterministic given seed, which orders the mini-batches."""
     lcfg.validate()
     tcfg.validate()
     y = np.asarray(y)
@@ -285,7 +285,7 @@ def train_task(
     # short last batch gets a forward of its own shape (see teacher_targets)
     full = min(tcfg.batch_size, len(y))
     p_t = None if teacher is None else teacher_targets(teacher, X, lcfg.temperature, full)
-    rng = np.random.default_rng(tcfg.seed)
+    rng = np.random.default_rng(seed)
     trace: list[float] = []
     for epoch in range(tcfg.epochs):
         order = rng.permutation(len(y))

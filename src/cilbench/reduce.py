@@ -28,7 +28,6 @@ class Embedding:
 
 @dataclass(frozen=True)
 class TsneConfig:
-    target_dim: int = 2
     perplexity: float = 30.0
     iterations: int = 500
     learning_rate: float = 200.0
@@ -37,18 +36,12 @@ class TsneConfig:
     momentum_start: float = 0.5
     momentum_final: float = 0.8
     momentum_switch_iter: int = 250
-    seed: int = 0
-    init: str = "pca"
 
     def validate(self) -> None:
-        if self.target_dim < 1:
-            raise ConfigurationError("target_dim must be >= 1")
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
         if self.perplexity < 2:
             raise ConfigurationError("perplexity must be >= 2")
-        if self.init not in ("pca", "random"):
-            raise ConfigurationError(f"unknown init {self.init!r}")
         if not self.learning_rate > 0:
             raise ConfigurationError("learning_rate must be > 0")
         if not self.early_exaggeration >= 1:
@@ -202,12 +195,15 @@ def kl_divergence_and_grad(
     return kl, grad
 
 
-def tsne_reduce(X, cfg: TsneConfig = TsneConfig()) -> Embedding:
-    """Exact t-SNE; falls back to PCA for tiny or degenerate inputs."""
+def tsne_reduce(X, d: int, seed: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
+    """Exact t-SNE of X to d dimensions, started from its PCA; falls back
+    to PCA for tiny or degenerate inputs.  seed draws the start instead
+    when the PCA start has no spread."""
+    if d < 1:
+        raise ConfigurationError("d must be >= 1")
     cfg.validate()
     M = _as_matrix(X)
     n, dim = M.shape
-    d = cfg.target_dim
     if n < 4:
         emb = pca_reduce(M, min(d, min(n, dim)))
         emb = _pad_dims(emb, d)
@@ -222,13 +218,12 @@ def tsne_reduce(X, cfg: TsneConfig = TsneConfig()) -> Embedding:
     perplexity = max(perplexity, 2.0)
     P = joint_affinities(M, perplexity)
 
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "pca":
-        Y = _pad_dims(pca_reduce(M, min(d, min(n, dim))), d).points.copy()
-        std = Y[:, 0].std()
-        Y = Y / std * 1e-4 if std > 0 else rng.normal(0.0, 1e-4, size=(n, d))
+    Y = _pad_dims(pca_reduce(M, min(d, min(n, dim))), d).points
+    std = Y[:, 0].std()
+    if std > 0:
+        Y = Y / std * 1e-4
     else:
-        Y = rng.normal(0.0, 1e-4, size=(n, d))
+        Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(n, d))
 
     # one kernel call per step: call t+1 also yields KL(P||Q) at the Y that
     # step t produced, so the trace needs a single call after the loop

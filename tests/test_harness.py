@@ -313,11 +313,18 @@ class TestCli:
             {"blobs": {"dim": 0}},
             {"tsne": {"learning_rate": -200.0}},
             {"tsne": {"momentum_final": 5.0}},
+            # seeds and the t-SNE dimension are derived, not configured
+            {"stream": {"mode": "disjoint", "classes_per_task": 2, "seed": 3}},
+            {"train": {"seed": 3}},
+            {"tsne": {"seed": 3}},
+            {"tsne": {"target_dim": 3}},
+            {"tsne": {"init": "random"}},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
              "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
-             "tsne-negative-lr", "tsne-momentum-above-one"],
+             "tsne-negative-lr", "tsne-momentum-above-one", "stream-seed", "train-seed",
+             "tsne-seed", "tsne-target-dim", "tsne-init"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))

@@ -229,8 +229,8 @@ class TestTraining:
         X, y = self._blob_data(rng)
         model = init_mlp(2, (16,), 2, seed=15)
         model, _ = train_task(
-            model, X, y, tcfg=TrainConfig(epochs=50, batch_size=16,
-                                          learning_rate=0.1, momentum=0.9, seed=1)
+            model, X, y, seed=1,
+            tcfg=TrainConfig(epochs=50, batch_size=16, learning_rate=0.1, momentum=0.9),
         )
         acc = np.mean(np.argmax(forward_batch(model, X)[0], axis=1) == y)
         assert acc >= 0.95
@@ -239,27 +239,27 @@ class TestTraining:
         rng = np.random.default_rng(16)
         X, y = self._blob_data(rng, n=20)
         model = init_mlp(2, (8,), 2, seed=17)
-        tcfg = TrainConfig(epochs=5, batch_size=8, seed=2)
-        _, trace_a = train_task(model, X, y, lcfg=LossConfig(beta=0.5), tcfg=tcfg)
-        _, trace_b = train_task(model, X, y, lcfg=LossConfig(beta=0.0), tcfg=tcfg)
+        tcfg = TrainConfig(epochs=5, batch_size=8)
+        _, trace_a = train_task(model, X, y, seed=2, lcfg=LossConfig(beta=0.5), tcfg=tcfg)
+        _, trace_b = train_task(model, X, y, seed=2, lcfg=LossConfig(beta=0.0), tcfg=tcfg)
         assert trace_a == trace_b
 
     def test_determinism(self):
         rng = np.random.default_rng(18)
         X, y = self._blob_data(rng, n=20)
         model = init_mlp(2, (8,), 2, seed=19)
-        tcfg = TrainConfig(epochs=4, batch_size=8, seed=3)
-        m1, t1 = train_task(model, X, y, tcfg=tcfg)
-        m2, t2 = train_task(model, X, y, tcfg=tcfg)
+        tcfg = TrainConfig(epochs=4, batch_size=8)
+        m1, t1 = train_task(model, X, y, seed=3, tcfg=tcfg)
+        m2, t2 = train_task(model, X, y, seed=3, tcfg=tcfg)
         assert t1 == t2
         assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
 
     def test_label_outside_head(self):
         model = init_mlp(2, (4,), 2, seed=20)
         with pytest.raises(ShapeError):
-            train_task(model, np.zeros((1, 2)), np.array([5]), tcfg=TrainConfig(epochs=1))
+            train_task(model, np.zeros((1, 2)), np.array([5]), seed=0, tcfg=TrainConfig(epochs=1))
         with pytest.raises(ShapeError):
-            train_task(model, np.zeros((1, 2)), np.array([-1]), tcfg=TrainConfig(epochs=1))
+            train_task(model, np.zeros((1, 2)), np.array([-1]), seed=0, tcfg=TrainConfig(epochs=1))
 
     def test_negative_label_in_batch_loss(self):
         # -1 must not be scored as the last class of a 3-class head.
@@ -274,7 +274,8 @@ class TestTraining:
         teacher = snapshot_teacher(init_mlp(2, (4,), 3, seed=21))
         with pytest.raises(ShapeError):
             train_task(
-                model, np.zeros((1, 2)), np.array([0]), teacher, tcfg=TrainConfig(epochs=1)
+                model, np.zeros((1, 2)), np.array([0]), teacher, seed=0,
+                tcfg=TrainConfig(epochs=1),
             )
 
 
@@ -317,8 +318,8 @@ class TestTrainingBitExact:
         teacher = None if ell is None else snapshot_teacher(init_mlp(dim, hidden, ell, seed=2))
         lcfg = LossConfig(temperature=2.0, beta=0.5)
         tcfg = TrainConfig(epochs=5, batch_size=batch_size, learning_rate=0.05,
-                           momentum=momentum, seed=3)
-        trained, trace = train_task(model, X, y, teacher, lcfg=lcfg, tcfg=tcfg)
+                           momentum=momentum)
+        trained, trace = train_task(model, X, y, teacher, seed=3, lcfg=lcfg, tcfg=tcfg)
         ref_w, ref_b, ref_trace = train_task_reference(
             model.weights, model.biases, X, y,
             None if teacher is None else (teacher.model.weights, teacher.model.biases),
@@ -336,7 +337,8 @@ class TestTrainingBitExact:
         teacher = snapshot_teacher(init_mlp(2, (8,), 4, seed=6))
         before = [a.tobytes() for a in model.weights + model.biases]
         before_t = [a.tobytes() for a in teacher.model.weights + teacher.model.biases]
-        trained, _ = train_task(model, X, y, teacher, tcfg=TrainConfig(epochs=3, batch_size=16))
+        trained, _ = train_task(model, X, y, teacher, seed=0,
+                                tcfg=TrainConfig(epochs=3, batch_size=16))
         assert [a.tobytes() for a in model.weights + model.biases] == before
         assert [a.tobytes() for a in teacher.model.weights + teacher.model.biases] == before_t
         theirs = model.weights + model.biases + teacher.model.weights + teacher.model.biases
@@ -357,7 +359,7 @@ class TestTrainingBitExact:
 
         monkeypatch.setattr(learner, "forward_batch", counting)
         epochs = 6
-        train_task(init_mlp(2, (8,), 6, seed=9), X, y, teacher,
+        train_task(init_mlp(2, (8,), 6, seed=9), X, y, teacher, seed=0,
                    tcfg=TrainConfig(epochs=epochs, batch_size=batch_size))
         full = min(n, batch_size)
         # every row in -(-n // full) forwards of `full` rows, then one forward

@@ -117,7 +117,8 @@ class TestCifarLoader:
         assert np.array_equal(np.rint(as_features(pixels, np.float64) * 255.0), pixels)
         for i in range(20):
             original = raw[i * CIFAR_RECORD_BYTES : (i + 1) * CIFAR_RECORD_BYTES]
-            repacked = pack_cifar_record(int(ds.train_coarse[i]), int(ds.y_train[i]), pixels[i])
+            # the coarse label is not kept, so it comes from the record
+            repacked = pack_cifar_record(original[0], int(ds.y_train[i]), pixels[i])
             assert repacked == original
 
 
@@ -156,7 +157,7 @@ class TestBlobs:
 class TestDisjointStream:
     def test_partition(self):
         ds = make_blobs(10, 10, seed=0)
-        tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 5, seed=1))
+        tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 5), 1)
         assert len(tasks) == 2
         union = set()
         for t in tasks:
@@ -167,27 +168,27 @@ class TestDisjointStream:
 
     def test_all_examples_present(self):
         ds = make_blobs(6, 10, seed=2)
-        tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 2, seed=3))
+        tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 2), 3)
         idx = sorted(i for t in tasks for i in t.example_indices)
         assert idx == list(range(len(ds.train)))
 
     def test_divisibility_error(self):
         ds = make_blobs(10, 10, seed=0)
         with pytest.raises(ConfigurationError):
-            make_disjoint_stream(ds, StreamSpec("disjoint", 3))
+            make_disjoint_stream(ds, StreamSpec("disjoint", 3), 0)
 
     def test_determinism(self):
         ds = make_blobs(6, 10, seed=2)
-        spec = StreamSpec("disjoint", 3, seed=11)
-        a, b = make_disjoint_stream(ds, spec), make_disjoint_stream(ds, spec)
+        spec = StreamSpec("disjoint", 3)
+        a, b = make_disjoint_stream(ds, spec, 11), make_disjoint_stream(ds, spec, 11)
         assert [t.task_index for t in a] == [t.task_index for t in b]
         assert [t.major_classes for t in a] == [t.major_classes for t in b]
         assert all(np.array_equal(x.example_indices, y.example_indices) for x, y in zip(a, b))
 
     def test_explicit_class_order(self):
         ds = make_blobs(4, 10, seed=2)
-        spec = StreamSpec("disjoint", 2, seed=0, class_order=(3, 1, 0, 2))
-        tasks = make_disjoint_stream(ds, spec)
+        spec = StreamSpec("disjoint", 2, class_order=(3, 1, 0, 2))
+        tasks = make_disjoint_stream(ds, spec, 0)
         assert tasks[0].major_classes == {3, 1}
         assert tasks[1].major_classes == {0, 2}
 
@@ -196,14 +197,14 @@ class TestFuzzyStream:
     def test_exact_composition(self):
         # 4 classes, q=2, Z=50: each task half major, half minor
         ds = make_blobs(4, 10, seed=4)  # 8 train per class
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=50, seed=5))
+        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=50), 5)
         for t in tasks:
             minor = sum(1 for c in ds.y_train[t.example_indices] if c not in t.major_classes)
             assert len(t.example_indices) == 16 and minor == 8
 
     def test_fuzzy10_rounding_rule(self):
         ds = make_blobs(10, 50, seed=6)  # 40 train per class, task pool 80
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10, seed=7))
+        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 7)
         for t in tasks:
             minor = sum(1 for c in ds.y_train[t.example_indices] if c not in t.major_classes)
             assert minor == round(0.10 * len(t.example_indices))
@@ -211,7 +212,7 @@ class TestFuzzyStream:
 
     def test_each_example_in_one_task(self):
         ds = make_blobs(6, 20, seed=8)
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=20, seed=9))
+        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=20), 9)
         if not any(t.warnings for t in tasks):
             idx = [i for t in tasks for i in t.example_indices]
             assert len(idx) == len(set(idx))
@@ -219,7 +220,7 @@ class TestFuzzyStream:
     def test_mode_guards(self):
         ds = make_blobs(4, 10, seed=4)
         with pytest.raises(ConfigurationError):
-            make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=0))
+            make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=0), 0)
         with pytest.raises(ConfigurationError):
-            make_fuzzy_stream(ds, StreamSpec("disjoint", 2))
+            make_fuzzy_stream(ds, StreamSpec("disjoint", 2), 0)
 
