@@ -7,6 +7,7 @@ temperature-distilled rehearsal loss, and an experiment harness.
 """
 
 from .data import (
+    BlobsSpec,
     Dataset,
     LabeledExample,
     StreamSpec,
@@ -54,6 +55,7 @@ from .sampler import (
 )
 
 __all__ = [
+    "BlobsSpec",
     "CilbenchError",
     "ConfigurationError",
     "DataError",

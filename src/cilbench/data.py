@@ -70,8 +70,8 @@ class StreamSpec:
             raise ConfigurationError("classes_per_task must be >= 1")
         if self.mode == "disjoint" and self.fuzz_percent != 0:
             raise ConfigurationError("disjoint mode requires fuzz_percent == 0")
-        if not 0 <= self.fuzz_percent <= 100:
-            raise ConfigurationError("fuzz_percent must be in [0, 100]")
+        if self.mode == "fuzzy" and not 0 < self.fuzz_percent < 100:
+            raise ConfigurationError("fuzzy mode requires 0 < fuzz_percent < 100")
         if num_classes is not None and num_classes % self.classes_per_task != 0:
             raise ConfigurationError(
                 f"{num_classes} classes not divisible by "
@@ -164,32 +164,41 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
 # Synthetic blobs
 
 
-def make_blobs(
-    num_classes: int,
-    per_class: int,
-    dim: int = 2,
-    spread: float = 1.0,
-    outlier_fraction: float = 0.0,
-    seed: int = 0,
-    center_box: float | None = None,
-    outlier_reach: tuple[float, float] = (10.0, 20.0),
-) -> Dataset:
+@dataclass(frozen=True)
+class BlobsSpec:
+    num_classes: int = 10
+    per_class: int = 200
+    dim: int = 2
+    spread: float = 1.0
+    outlier_fraction: float = 0.0
+    center_box: float | None = None
+    outlier_reach: tuple[float, float] = (10.0, 20.0)
+
+    def validate(self) -> None:
+        if self.num_classes < 2:
+            raise ConfigurationError("num_classes must be >= 2")
+        if self.per_class < 2:
+            raise ConfigurationError("per_class must be >= 2")
+        if self.dim < 1:
+            raise ConfigurationError("dim must be >= 1")
+        if not self.spread > 0:
+            raise ConfigurationError("spread must be > 0")
+        if not 0.0 <= self.outlier_fraction < 0.5:
+            raise ConfigurationError("outlier_fraction must be in [0, 0.5)")
+        if self.outlier_reach[0] < 10.0 or self.outlier_reach[1] < self.outlier_reach[0]:
+            raise ConfigurationError("outlier_reach must be an increasing range >= 10")
+
+
+def make_blobs(spec: BlobsSpec, seed: int) -> Dataset:
     """Seeded Gaussian clusters, one per class, with optional planted outliers.
 
     Outliers are displaced by outlier_reach (in units of spread, lower bound
     at least 10) from their class center but keep the class label.  Each
     class is split 80/20 into train/test.
     """
-    if num_classes < 2:
-        raise ConfigurationError("num_classes must be >= 2")
-    if per_class < 2:
-        raise ConfigurationError("per_class must be >= 2")
-    if dim < 1:
-        raise ConfigurationError("dim must be >= 1")
-    if not 0.0 <= outlier_fraction < 0.5:
-        raise ConfigurationError("outlier_fraction must be in [0, 0.5)")
-    if outlier_reach[0] < 10.0 or outlier_reach[1] < outlier_reach[0]:
-        raise ConfigurationError("outlier_reach must be an increasing range >= 10")
+    spec.validate()
+    num_classes, per_class, dim = spec.num_classes, spec.per_class, spec.dim
+    spread, center_box = spec.spread, spec.center_box
     rng = np.random.default_rng(seed)
     if center_box is None:
         # keep cluster density roughly constant as the class count grows
@@ -197,7 +206,7 @@ def make_blobs(
     centers = rng.uniform(0.0, center_box, size=(num_classes, dim))
 
     X_train, X_test = [], []
-    n_out = _round_half_up(outlier_fraction * per_class)
+    n_out = _round_half_up(spec.outlier_fraction * per_class)
     n_train = int(per_class * 0.8)
     for c in range(num_classes):
         pts = centers[c] + rng.normal(0.0, spread, size=(per_class, dim))
@@ -205,7 +214,7 @@ def make_blobs(
             which = rng.choice(per_class, size=n_out, replace=False)
             direction = rng.normal(size=(n_out, dim))
             direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-            radius = rng.uniform(*outlier_reach, size=(n_out, 1)) * spread
+            radius = rng.uniform(*spec.outlier_reach, size=(n_out, 1)) * spread
             pts[which] = centers[c] + direction * radius
         order = rng.permutation(per_class)
         X_train.append(pts[order[:n_train]])
@@ -265,8 +274,6 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatc
     """
     if spec.mode != "fuzzy":
         raise ConfigurationError("make_fuzzy_stream requires mode='fuzzy'")
-    if not 0 < spec.fuzz_percent < 100:
-        raise ConfigurationError("fuzzy mode requires 0 < fuzz_percent < 100")
     spec.validate(ds.num_classes)
     order = _class_order(spec, ds.num_classes, seed)
     labels = ds.y_train

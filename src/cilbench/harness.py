@@ -20,25 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learner, sampler
-from .data import Dataset, StreamSpec, as_features, load_cifar100, make_blobs, make_stream
+from .data import (BlobsSpec, Dataset, StreamSpec, as_features, load_cifar100, make_blobs,
+                   make_stream)
 from .errors import ConfigurationError, DivergenceError
 from .learner import LossConfig, MlpModel, TrainConfig
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
 from .sampler import ExemplarStore, SamplerParams, allocate_quota
 
-# role tags for deterministic per-module seed derivation
-_SEED_STREAM, _SEED_REDUCE, _SEED_SAMPLE, _SEED_TRAIN, _SEED_MODEL = range(5)
-
-
-@dataclass(frozen=True)
-class BlobsSpec:
-    num_classes: int = 10
-    per_class: int = 200
-    dim: int = 2
-    spread: float = 1.0
-    outlier_fraction: float = 0.0
-    center_box: float | None = None
-    outlier_reach: tuple[float, float] = (10.0, 20.0)
+# role tags for deterministic per-module seed derivation; 1 is retired, and
+# the others keep their values because renumbering one changes every output
+_SEED_STREAM, _SEED_SAMPLE, _SEED_TRAIN, _SEED_MODEL = 0, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ class RunConfig:
     cifar_train_path: str | None = None
     cifar_test_path: str | None = None
     stream: StreamSpec = StreamSpec(mode="disjoint", classes_per_task=2)
-    sampler_kind: str = "diverse"  # diverse | gonzalez | random
+    sampler_kind: str = "diverse"  # diverse | random; Gonzalez is diverse with n=0
     sampler_params: SamplerParams = SamplerParams(m=1)  # m is set per class quota
     reducer: str = "tsne"  # tsne | pca | none
     reduce_dim: int = 2
@@ -69,7 +60,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not self.cifar_train_path:
             raise ConfigurationError("cifar100 dataset requires cifar_train_path")
-        if self.sampler_kind not in ("diverse", "gonzalez", "random"):
+        if self.sampler_kind not in ("diverse", "random"):
             raise ConfigurationError(f"unknown sampler {self.sampler_kind!r}")
         if self.reducer not in ("tsne", "pca", "none"):
             raise ConfigurationError(f"unknown reducer {self.reducer!r}")
@@ -83,11 +74,11 @@ class RunConfig:
             raise ConfigurationError("reduce_dim must be >= 1")
         if any(h < 1 for h in self.hidden_sizes):
             raise ConfigurationError("hidden_sizes must all be >= 1")
-        if self.dataset == "blobs" and not self.blobs.spread > 0:
-            raise ConfigurationError("blobs.spread must be > 0")
         input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
         if self.reducer == "none" and input_dim > 3:
             raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
+        if self.dataset == "blobs":
+            self.blobs.validate()
         self.stream.validate()
         self.sampler_params.validate()
         self.tsne.validate()
@@ -161,17 +152,7 @@ def _module_seed(global_seed: int, role: int, *extra: int) -> int:
 
 def load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset == "blobs":
-        b = cfg.blobs
-        return make_blobs(
-            num_classes=b.num_classes,
-            per_class=b.per_class,
-            dim=b.dim,
-            spread=b.spread,
-            outlier_fraction=b.outlier_fraction,
-            seed=_module_seed(cfg.seed, _SEED_STREAM),
-            center_box=b.center_box,
-            outlier_reach=b.outlier_reach,
-        )
+        return make_blobs(cfg.blobs, _module_seed(cfg.seed, _SEED_STREAM))
     ds = load_cifar100(cfg.cifar_train_path, "train")
     if cfg.cifar_test_path:
         test = load_cifar100(cfg.cifar_test_path, "test")
@@ -179,14 +160,12 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     return ds
 
 
-def _reduce_class(cfg: RunConfig, feats: np.ndarray, task: int, cls: int):
+def _reduce_class(cfg: RunConfig, feats: np.ndarray):
     if cfg.reducer == "none":
         return Embedding(points=feats)
     if cfg.reducer == "pca":
         return pca_reduce(feats, min(cfg.reduce_dim, min(feats.shape)))
-    return tsne_reduce(
-        feats, cfg.reduce_dim, _module_seed(cfg.seed, _SEED_REDUCE, task, cls), cfg.tsne
-    )
+    return tsne_reduce(feats, cfg.reduce_dim, cfg.tsne)
 
 
 def _select_exemplars(
@@ -197,8 +176,6 @@ def _select_exemplars(
         return sampler.random_sample(
             emb.points.shape[0], quota, _module_seed(cfg.seed, _SEED_SAMPLE, task, cls)
         )
-    if cfg.sampler_kind == "gonzalez":
-        return sampler.gonzalez_sample(emb, quota)
     params = dataclasses.replace(cfg.sampler_params, m=quota)
     return sampler.diverse_sample(emb, params)
 
@@ -299,7 +276,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         for cls in labels_here:
             class_rows = task_rows[task_labels == cls]
             feats = as_features(ds.X_train[class_rows], np.float64)
-            emb = _reduce_class(cfg, feats, task.task_index, cls)
+            emb = _reduce_class(cfg, feats)
             warnings += [f"class {cls}: {w}" for w in emb.warnings]
             quota = quotas[slot_of[cls]]
             picked = _select_exemplars(cfg, emb, quota, task.task_index, cls)

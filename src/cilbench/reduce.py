@@ -71,11 +71,14 @@ def pca_reduce(X, d: int) -> Embedding:
     n, dim = M.shape
     if not 1 <= d <= min(n, dim):
         raise ConfigurationError(f"d={d} out of range for {n}x{dim} input")
-    centered = M - M.mean(axis=0)
     # eigenvectors of the smaller Gram matrix: rows may be far fewer than
     # features (pixel data) or far more (low-dimensional embeddings)
     wide = n <= dim
-    gram = centered @ centered.T if wide else centered.T @ centered
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = M - M.mean(axis=0)
+        gram = centered @ centered.T if wide else centered.T @ centered
+    if not np.all(np.isfinite(gram)):
+        raise DataError("feature values too large: the PCA Gram matrix overflows")
     evals, evecs = np.linalg.eigh(gram)
     evals, evecs = evals[::-1][:d], evecs[:, ::-1][:, :d]
     # a component at the rounding level of the largest carries no variance
@@ -195,10 +198,9 @@ def kl_divergence_and_grad(
     return kl, grad
 
 
-def tsne_reduce(X, d: int, seed: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
+def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
     """Exact t-SNE of X to d dimensions, started from its PCA; falls back
-    to PCA for tiny or degenerate inputs.  seed draws the start instead
-    when the PCA start has no spread."""
+    to PCA for tiny or degenerate inputs."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     cfg.validate()
@@ -214,16 +216,12 @@ def tsne_reduce(X, d: int, seed: int, cfg: TsneConfig = TsneConfig()) -> Embeddi
         emb.warnings.append("duplicate-only input: fell back to PCA")
         return emb
 
+    # rows not all close give the first component spread (pca_reduce rejects overflow)
+    Y = _pad_dims(pca_reduce(M, min(d, min(n, dim))), d).points
+    Y = Y / Y[:, 0].std() * 1e-4
     perplexity = min(cfg.perplexity, (n - 1) / 3.0)
     perplexity = max(perplexity, 2.0)
     P = joint_affinities(M, perplexity)
-
-    Y = _pad_dims(pca_reduce(M, min(d, min(n, dim))), d).points
-    std = Y[:, 0].std()
-    if std > 0:
-        Y = Y / std * 1e-4
-    else:
-        Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(n, d))
 
     # one kernel call per step: call t+1 also yields KL(P||Q) at the Y that
     # step t produced, so the trace needs a single call after the loop

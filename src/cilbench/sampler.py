@@ -102,7 +102,9 @@ def diverse_sample(E, p: SamplerParams) -> list[int]:
 
 
 def gonzalez_sample(E, m: int) -> list[int]:
-    """Greedy farthest-point k-center selection, seeded closest to the mean."""
+    """Greedy farthest-point k-center (Gonzalez 1985), seeded closest to the
+    mean.  No run selects with it: it is the reference that `verify` and the
+    tests hold diverse_sample with n=0 to."""
     if m < 1:
         raise ConfigurationError("m must be >= 1")
     pts = _points(E)
@@ -218,7 +220,6 @@ class ExemplarStore:
 
     budget: int
     train_indices: dict[int, list[int]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
     def total(self) -> int:
         return sum(len(v) for v in self.train_indices.values())
@@ -242,8 +243,7 @@ class ExemplarStore:
         if new_quota < 1:
             raise ConfigurationError("new_quota must be >= 1")
         if cls not in self.train_indices:
-            self.warnings.append(f"shrink of absent class {cls} ignored")
-            return
+            raise ConfigurationError(f"class {cls} has no exemplars to shrink")
         self.train_indices[cls] = self.train_indices[cls][:new_quota]
 
     def to_json(self) -> str:

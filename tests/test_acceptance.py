@@ -15,6 +15,7 @@ import pytest
 from cilbench.cli import main as cli_main
 from cilbench.data import (
     CIFAR_RECORD_BYTES,
+    BlobsSpec,
     StreamSpec,
     as_features,
     load_cifar100,
@@ -186,7 +187,7 @@ def test_06_kd_lower_bound():
 
 def test_07_first_task_rule():
     t0 = time.perf_counter()
-    ds = make_blobs(2, 30, dim=2, spread=0.4, seed=71)
+    ds = make_blobs(BlobsSpec(2, 30, dim=2, spread=0.4), 71)
     model = init_mlp(2, (8,), 2, seed=72)
     tcfg = TrainConfig(epochs=8, batch_size=8)
     X, y = ds.X_train, ds.y_train
@@ -198,7 +199,7 @@ def test_07_first_task_rule():
 def test_08_stream_composition():
     t0 = time.perf_counter()
     ok = True
-    ds = make_blobs(10, 50, dim=2, seed=81)  # 40 train per class
+    ds = make_blobs(BlobsSpec(10, 50, dim=2), 81)  # 40 train per class
     fuzzy = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 82)
     for task in fuzzy:
         labels = ds.y_train[task.example_indices]

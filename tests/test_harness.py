@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 from cilbench import learner
 from cilbench.cli import main as cli_main
-from cilbench.data import StreamSpec, make_blobs, pack_cifar_record
+from cilbench.data import StreamSpec, make_blobs, make_stream, pack_cifar_record
 from cilbench.errors import ConfigurationError, DivergenceError
 from cilbench.harness import (
     BlobsSpec,
     RunConfig,
+    _module_seed,
     ablate_n,
     average_accuracy,
     config_from_dict,
@@ -30,7 +32,7 @@ from cilbench.harness import (
     run_experiment,
 )
 from cilbench.learner import MlpModel, TrainConfig
-from cilbench.sampler import ExemplarStore, SamplerParams
+from cilbench.sampler import ExemplarStore, SamplerParams, allocate_quota, random_sample
 
 
 def small_config(**overrides) -> RunConfig:
@@ -66,7 +68,7 @@ class TestAverageAccuracy:
 
 class TestEvaluate:
     def test_perfect_and_constant_predictors(self):
-        ds = make_blobs(2, 20, dim=2, spread=0.1, seed=3, center_box=20.0)
+        ds = make_blobs(BlobsSpec(2, 20, dim=2, spread=0.1, center_box=20.0), 3)
         # constant predictor: all-zero network always yields class 0
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
         assert evaluate(zero, ds.X_test, ds.y_test) == 0.5
@@ -78,7 +80,7 @@ class TestEvaluate:
 
     def test_nme_requires_means(self):
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
-        ds = make_blobs(2, 10, seed=0)
+        ds = make_blobs(BlobsSpec(2, 10), 0)
         with pytest.raises(ConfigurationError):
             evaluate(zero, ds.X_test, ds.y_test, classifier="nme")
 
@@ -124,6 +126,43 @@ class TestRunExperiment:
                 rb.task_index, rb.accuracy, rb.avg_accuracy, rb.exemplar_count
             )
         assert a.store.to_json() == b.store.to_json()
+
+    def test_seed_roles(self, monkeypatch):
+        """Each module seed is _module_seed(cfg.seed, role, ...) with the
+        roles stream 0, sample 2, train 3 and model 4.  Random selection
+        shows the stream and sample seeds in the stored rows."""
+        cfg = small_config(sampler_kind="random")
+        seeds = {}
+        for name in ("init_mlp", "grow_head", "train_task"):
+            def recording(*args, _fn=getattr(learner, name), _name=name, **kwargs):
+                bound = inspect.signature(_fn).bind(*args, **kwargs)
+                seeds.setdefault(_name, []).append(bound.arguments["seed"])
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(learner, name, recording)
+        result = run_experiment(cfg)
+
+        ds = make_blobs(cfg.blobs, _module_seed(cfg.seed, 0))
+        tasks = make_stream(ds, cfg.stream, _module_seed(cfg.seed, 0, 1))
+        slots = result.class_order_seen
+        final = allocate_quota(cfg.memory_budget, len(slots))
+        seen = 0
+        for task in tasks:
+            labels = ds.y_train[task.example_indices]
+            seen += len(np.unique(labels))  # disjoint: every class is new
+            quotas = allocate_quota(cfg.memory_budget, seen)
+            for cls in np.unique(labels).tolist():
+                rows = task.example_indices[labels == cls]
+                slot = slots.index(cls)
+                picked = random_sample(
+                    len(rows), min(quotas[slot], len(rows)),
+                    _module_seed(cfg.seed, 2, task.task_index, cls),
+                )
+                assert result.store.train_indices[cls] == rows[picked][: final[slot]].tolist()
+        assert seeds == {
+            "init_mlp": [_module_seed(cfg.seed, 4)],
+            "grow_head": [_module_seed(cfg.seed, 4, t) for t in range(1, len(tasks))],
+            "train_task": [_module_seed(cfg.seed, 3, t) for t in range(len(tasks))],
+        }
 
     def test_nme_classifier_path(self):
         cfg = small_config(classifier="nme")
@@ -319,12 +358,17 @@ class TestCli:
             {"tsne": {"seed": 3}},
             {"tsne": {"target_dim": 3}},
             {"tsne": {"init": "random"}},
+            {"stream": {"mode": "fuzzy", "classes_per_task": 2, "fuzz_percent": 0}},
+            # Gonzalez's k-center is sampler_kind "diverse" with n=0
+            {"sampler_kind": "gonzalez"},
+            {"blobs": {"num_classes": 1}},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
              "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
              "tsne-negative-lr", "tsne-momentum-above-one", "stream-seed", "train-seed",
-             "tsne-seed", "tsne-target-dim", "tsne-init"],
+             "tsne-seed", "tsne-target-dim", "tsne-init", "fuzzy-zero-fuzz",
+             "sampler-gonzalez", "blobs-one-class"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cilbench.errors import ConfigurationError
+from cilbench.errors import ConfigurationError, DataError
 from cilbench.reduce import (
     TsneConfig,
     conditional_affinities,
@@ -57,6 +57,11 @@ class TestPca:
     def test_d_out_of_range(self):
         with pytest.raises(ConfigurationError):
             pca_reduce(np.zeros((5, 3)), 4)
+
+    def test_gram_overflow_is_data_error(self):
+        X = np.random.default_rng(0).normal(size=(20, 3)) * 1e160
+        with pytest.raises(DataError, match="Gram matrix overflows"):
+            pca_reduce(X, 2)
 
 
 def gapped(n, dim, rank, seed, offset=3.0):
@@ -207,7 +212,7 @@ class TestTsne:
     def test_dimension_below_one_rejected(self):
         X, _ = three_clusters(4)
         with pytest.raises(ConfigurationError, match="d must be >= 1"):
-            tsne_reduce(X, 0, 0)
+            tsne_reduce(X, 0)
 
     def test_config_range_edges_accepted(self):
         TsneConfig(early_exaggeration=1.0, exaggeration_iters=0, momentum_switch_iter=0,
@@ -216,7 +221,7 @@ class TestTsne:
 
     def test_shape_and_finiteness(self):
         X, _ = three_clusters(8)
-        emb = tsne_reduce(X, 2, 1, TsneConfig(iterations=80))
+        emb = tsne_reduce(X, 2, TsneConfig(iterations=80))
         assert emb.points.shape == (24, 2)
         assert np.all(np.isfinite(emb.points))
 
@@ -239,7 +244,7 @@ class TestTsne:
 
     def test_kl_decreases_and_beats_random_projection(self):
         X, labels = three_clusters(20)
-        emb = tsne_reduce(X, 2, 3, TsneConfig(iterations=800))
+        emb = tsne_reduce(X, 2, TsneConfig(iterations=800))
         assert emb.kl_trace[799] <= emb.kl_trace[99]
 
         def purity(Y):
@@ -254,24 +259,30 @@ class TestTsne:
     def test_determinism(self):
         X, _ = three_clusters(6, seed=9)
         cfg = TsneConfig(iterations=60)
-        a, b = tsne_reduce(X, 2, 42, cfg), tsne_reduce(X, 2, 42, cfg)
+        a, b = tsne_reduce(X, 2, cfg), tsne_reduce(X, 2, cfg)
         assert np.array_equal(a.points, b.points)
 
     def test_small_input_falls_back_to_pca(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        emb = tsne_reduce(X, 2, 0)
+        emb = tsne_reduce(X, 2)
         assert emb.points.shape == (3, 2)
         assert emb.warnings
 
     def test_duplicate_only_input_falls_back(self):
         X = np.ones((10, 3))
-        emb = tsne_reduce(X, 2, 0)
+        emb = tsne_reduce(X, 2)
         assert emb.warnings and np.all(emb.points == 0.0)
+
+    def test_gram_overflow_is_data_error(self):
+        # caught by the PCA start, before the affinities overflow too
+        X = np.random.default_rng(0).normal(size=(20, 3)) * 1e160
+        with pytest.raises(DataError, match="Gram matrix overflows"):
+            tsne_reduce(X, 2)
 
     def test_perplexity_auto_cap(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(7, 3))  # default perplexity 30 must be capped
-        emb = tsne_reduce(X, 2, 0, TsneConfig(iterations=30))
+        emb = tsne_reduce(X, 2, TsneConfig(iterations=30))
         assert np.all(np.isfinite(emb.points))
 
 
@@ -310,7 +321,7 @@ class TestFusedDescent:
         centers = rng.normal(0.0, 6.0, size=(3, 8))
         X = centers[np.arange(n) % 3] + rng.normal(size=(n, 8))
         cfg = dataclasses.replace(TsneConfig(iterations=300), **overrides)
-        emb = tsne_reduce(X, 2, n + 1, cfg)
+        emb = tsne_reduce(X, 2, cfg)
         P, Y0 = tsne_start(X, 2, cfg)
         points, trace = oracles.tsne_descent(
             P, Y0,

@@ -270,8 +270,9 @@ class TestMemory:
         store.set_class(1, [0], np.array([1]))
         store.shrink_class(1, 5)
         assert len(store.train_indices[1]) == 1
-        store.shrink_class(7, 3)  # absent class: warning, no raise
-        assert store.warnings
+        with pytest.raises(ConfigurationError, match="no exemplars"):
+            store.shrink_class(7, 3)  # absent class
+        assert list(store.train_indices) == [1]
 
     def test_greedy_prefix_property(self):
         # shrinking a size-50 greedy selection to 20 equals rerunning at m=20

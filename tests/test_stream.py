@@ -5,6 +5,7 @@ import pytest
 
 from cilbench.data import (
     CIFAR_RECORD_BYTES,
+    BlobsSpec,
     Dataset,
     StreamSpec,
     as_features,
@@ -124,11 +125,11 @@ class TestCifarLoader:
 
 class TestBlobs:
     def test_split_counts(self):
-        ds = make_blobs(2, 10, dim=2, spread=1.0, outlier_fraction=0.0, seed=7)
+        ds = make_blobs(BlobsSpec(2, 10, dim=2, spread=1.0, outlier_fraction=0.0), 7)
         assert len(ds.train) == 16 and len(ds.test) == 4
 
     def test_outlier_count_and_distance(self):
-        ds = make_blobs(3, 20, dim=2, spread=0.5, outlier_fraction=0.1, seed=1)
+        ds = make_blobs(BlobsSpec(3, 20, dim=2, spread=0.5, outlier_fraction=0.1), 1)
         # per class: 2 outliers, displaced >= 10x spread from the class center
         all_pts = {c: [] for c in range(3)}
         for ex in ds.train + ds.test:
@@ -141,22 +142,22 @@ class TestBlobs:
             assert np.sum(dist >= 10 * 0.5 * 0.8) == 2
 
     def test_determinism(self):
-        a = make_blobs(4, 12, seed=9, outlier_fraction=0.1)
-        b = make_blobs(4, 12, seed=9, outlier_fraction=0.1)
+        a = make_blobs(BlobsSpec(4, 12, outlier_fraction=0.1), 9)
+        b = make_blobs(BlobsSpec(4, 12, outlier_fraction=0.1), 9)
         for xa, xb in zip(a.train + a.test, b.train + b.test):
             assert xa.label == xb.label
             assert np.array_equal(xa.features, xb.features)
 
     def test_preconditions(self):
         with pytest.raises(ConfigurationError):
-            make_blobs(1, 10)
+            make_blobs(BlobsSpec(1, 10), 0)
         with pytest.raises(ConfigurationError):
-            make_blobs(3, 10, outlier_fraction=0.6)
+            make_blobs(BlobsSpec(3, 10, outlier_fraction=0.6), 0)
 
 
 class TestDisjointStream:
     def test_partition(self):
-        ds = make_blobs(10, 10, seed=0)
+        ds = make_blobs(BlobsSpec(10, 10), 0)
         tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 5), 1)
         assert len(tasks) == 2
         union = set()
@@ -167,18 +168,18 @@ class TestDisjointStream:
         assert union == set(range(10))
 
     def test_all_examples_present(self):
-        ds = make_blobs(6, 10, seed=2)
+        ds = make_blobs(BlobsSpec(6, 10), 2)
         tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 2), 3)
         idx = sorted(i for t in tasks for i in t.example_indices)
         assert idx == list(range(len(ds.train)))
 
     def test_divisibility_error(self):
-        ds = make_blobs(10, 10, seed=0)
+        ds = make_blobs(BlobsSpec(10, 10), 0)
         with pytest.raises(ConfigurationError):
             make_disjoint_stream(ds, StreamSpec("disjoint", 3), 0)
 
     def test_determinism(self):
-        ds = make_blobs(6, 10, seed=2)
+        ds = make_blobs(BlobsSpec(6, 10), 2)
         spec = StreamSpec("disjoint", 3)
         a, b = make_disjoint_stream(ds, spec, 11), make_disjoint_stream(ds, spec, 11)
         assert [t.task_index for t in a] == [t.task_index for t in b]
@@ -186,7 +187,7 @@ class TestDisjointStream:
         assert all(np.array_equal(x.example_indices, y.example_indices) for x, y in zip(a, b))
 
     def test_explicit_class_order(self):
-        ds = make_blobs(4, 10, seed=2)
+        ds = make_blobs(BlobsSpec(4, 10), 2)
         spec = StreamSpec("disjoint", 2, class_order=(3, 1, 0, 2))
         tasks = make_disjoint_stream(ds, spec, 0)
         assert tasks[0].major_classes == {3, 1}
@@ -196,14 +197,14 @@ class TestDisjointStream:
 class TestFuzzyStream:
     def test_exact_composition(self):
         # 4 classes, q=2, Z=50: each task half major, half minor
-        ds = make_blobs(4, 10, seed=4)  # 8 train per class
+        ds = make_blobs(BlobsSpec(4, 10), 4)  # 8 train per class
         tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=50), 5)
         for t in tasks:
             minor = sum(1 for c in ds.y_train[t.example_indices] if c not in t.major_classes)
             assert len(t.example_indices) == 16 and minor == 8
 
     def test_fuzzy10_rounding_rule(self):
-        ds = make_blobs(10, 50, seed=6)  # 40 train per class, task pool 80
+        ds = make_blobs(BlobsSpec(10, 50), 6)  # 40 train per class, task pool 80
         tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 7)
         for t in tasks:
             minor = sum(1 for c in ds.y_train[t.example_indices] if c not in t.major_classes)
@@ -211,14 +212,14 @@ class TestFuzzyStream:
             assert minor == 8 and len(t.example_indices) == 80
 
     def test_each_example_in_one_task(self):
-        ds = make_blobs(6, 20, seed=8)
+        ds = make_blobs(BlobsSpec(6, 20), 8)
         tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=20), 9)
         if not any(t.warnings for t in tasks):
             idx = [i for t in tasks for i in t.example_indices]
             assert len(idx) == len(set(idx))
 
     def test_mode_guards(self):
-        ds = make_blobs(4, 10, seed=4)
+        ds = make_blobs(BlobsSpec(4, 10), 4)
         with pytest.raises(ConfigurationError):
             make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=0), 0)
         with pytest.raises(ConfigurationError):
