@@ -12,7 +12,6 @@ from .data import (
     LabeledExample,
     StreamSpec,
     TaskBatch,
-    as_features,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
@@ -39,6 +38,7 @@ from .learner import (
     LossConfig,
     MlpModel,
     TrainConfig,
+    as_features,
     grow_head,
     init_mlp,
     train_task,

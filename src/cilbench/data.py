@@ -33,7 +33,7 @@ class Dataset:
 
     Everything downstream of loading refers to training rows by their
     index into X_train.  CIFAR features are the file's pixel bytes
-    (uint8); as_features scales the rows a step uses.
+    (uint8); learner.as_features scales the rows of one forward pass.
     """
 
     X_train: np.ndarray
@@ -91,15 +91,6 @@ class TaskBatch:
     warnings: list[str] = field(default_factory=list)
 
 
-def as_features(X: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Feature rows as floats.  Pixel bytes (uint8) become byte / 255,
-    computed in float32 and written into an array of dtype; float rows
-    pass through, widened only where dtype is wider."""
-    if X.dtype != np.uint8:
-        return X.astype(np.promote_types(X.dtype, dtype), copy=False)
-    return np.divide(X, np.float32(255), out=np.empty(X.shape, dtype), dtype=np.float32)
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -121,7 +112,7 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
 
     Each record is [coarse][fine][1024 R][1024 G][1024 B]; the features
     are the pixel bytes as read (uint8, a view of the records; see
-    as_features), the fine label is used as the class and the coarse
+    learner.as_features), the fine label is used as the class and the coarse
     label is not kept.  The class count is the largest fine label + 1, so
     a file holding a subset of the 100 labels runs as a smaller problem.
     A training file must hold every label below its largest: a class

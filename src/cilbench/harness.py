@@ -20,16 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learner, sampler
-from .data import (BlobsSpec, Dataset, StreamSpec, as_features, load_cifar100, make_blobs,
-                   make_stream)
+from .data import BlobsSpec, Dataset, StreamSpec, load_cifar100, make_blobs, make_stream
 from .errors import ConfigurationError, DivergenceError
-from .learner import LossConfig, MlpModel, TrainConfig
+from .learner import LossConfig, MlpModel, TrainConfig, as_features
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
 from .sampler import ExemplarStore, SamplerParams, allocate_quota
 
 # role tags for deterministic per-module seed derivation; 1 is retired, and
 # the others keep their values because renumbering one changes every output
 _SEED_STREAM, _SEED_SAMPLE, _SEED_TRAIN, _SEED_MODEL = 0, 2, 3, 4
+
+# rows per forward in evaluate and exemplar_class_means: TrainConfig's
+# default batch, so a pool of at most that many rows is one forward
+_EVAL_ROWS = TrainConfig.batch_size
 
 
 @dataclass(frozen=True)
@@ -188,25 +191,29 @@ def evaluate(
     class_means: dict[int, np.ndarray] | None = None,
     slot_to_class: list[int] | None = None,
 ) -> float:
-    """Accuracy on test rows X with labels y, by the softmax head or NME."""
+    """Accuracy on test rows X (floats or pixel bytes) with labels y, by the
+    softmax head or NME, from forwards of _EVAL_ROWS rows (see
+    learner.forward_chunked)."""
     if len(y) == 0:
         raise ConfigurationError("empty evaluation pool")
     if classifier == "nme":
         if not class_means:
             raise ConfigurationError("nme classifier requires class means")
-        _, acts = learner.forward_batch(model, X)
-        # one distance per (row, class); argmin takes the first of equal
-        # distances, so ties go to the lower class id
         classes = sorted(class_means)
-        dist = np.stack(
-            [np.linalg.norm(acts[-1] - class_means[c], axis=1) for c in classes], axis=1
-        )
-        pred = np.asarray(classes)[np.argmin(dist, axis=1)]
+
+        def predict(_logits, feats):
+            # one distance per (row, class); argmin takes the first of equal
+            # distances, so ties go to the lower class id
+            dist = np.stack(
+                [np.linalg.norm(feats - class_means[c], axis=1) for c in classes], axis=1
+            )
+            return np.asarray(classes)[np.argmin(dist, axis=1)]
     else:
-        logits, _ = learner.forward_batch(model, X)
-        pred = np.argmax(logits, axis=1)
-        if slot_to_class is not None:
-            pred = np.asarray(slot_to_class)[pred]
+        def predict(logits, _feats):
+            pred = np.argmax(logits, axis=1)
+            return pred if slot_to_class is None else np.asarray(slot_to_class)[pred]
+
+    pred = learner.forward_chunked(model, X, _EVAL_ROWS, predict)
     return float(np.mean(pred == y))
 
 
@@ -258,7 +265,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         rows = np.concatenate([task_rows, np.asarray(stored, dtype=np.int64)])
         try:
             model, _trace = learner.train_task(
-                model, as_features(ds.X_train[rows]), slot_of[ds.y_train[rows]], teacher,
+                model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
                 seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
                 lcfg=cfg.loss, tcfg=cfg.train,
             )
@@ -287,8 +294,8 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         if cfg.classifier == "nme":
             class_means = exemplar_class_means(model, ds.X_train, store)
         acc = evaluate(
-            model, as_features(ds.X_test[seen], np.float64), ds.y_test[seen],
-            cfg.classifier, class_means, slot_to_class,
+            model, ds.X_test[seen], ds.y_test[seen], cfg.classifier, class_means,
+            slot_to_class,
         )
         accuracies.append(acc)
         records.append(
@@ -310,13 +317,14 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
 def exemplar_class_means(
     model: MlpModel, X_train: np.ndarray, store: ExemplarStore
 ) -> dict[int, np.ndarray]:
-    """Per-class mean of stored exemplars' penultimate features under model."""
+    """Per-class mean of stored exemplars' penultimate features under model,
+    from forwards of _EVAL_ROWS rows (see learner.forward_chunked)."""
     means: dict[int, np.ndarray] = {}
     for cls, rows in store.train_indices.items():
         if not rows:
             continue
-        _, acts = learner.forward_batch(model, as_features(X_train[rows], np.float64))
-        means[cls] = acts[-1].mean(axis=0)
+        feats = learner.forward_chunked(model, X_train[rows], _EVAL_ROWS, lambda _, f: f)
+        means[cls] = feats.mean(axis=0)
     return means
 
 

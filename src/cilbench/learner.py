@@ -6,11 +6,15 @@ the previous task boundary: loss = beta * distill + (1 - beta) * ce.
 On the first task there is no teacher and only cross-entropy is used.
 Everything is plain numpy with analytic gradients, so the whole chain
 can be validated against finite differences.
+
+No code writes a model's arrays after train_task or init_mlp has
+returned them: train_task trains a copy.  So a teacher snapshot and a
+grown head share the arrays they do not change instead of copying them.
 """
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,26 +85,39 @@ def init_mlp(
 
 
 def snapshot_teacher(model: MlpModel) -> TeacherSnapshot:
-    return TeacherSnapshot(model=copy.deepcopy(model), num_classes=model.num_classes)
+    """The frozen teacher: a new model object over the same arrays (nothing
+    writes them; see the module docstring)."""
+    model = MlpModel(weights=list(model.weights), biases=list(model.biases))
+    return TeacherSnapshot(model=model, num_classes=model.num_classes)
 
 
 def grow_head(model: MlpModel, q_new: int, seed: int) -> MlpModel:
     """Widen the output layer by q_new units; old weights kept bit-exactly,
-    new columns drawn from fan-in-scaled uniform noise, new biases zero."""
+    new columns drawn from fan-in-scaled uniform noise, new biases zero.
+    Only the head is new: the hidden layers are the input model's arrays."""
     if q_new < 1:
         raise ConfigurationError("q_new must be >= 1")
     rng = np.random.default_rng(seed)
-    grown = copy.deepcopy(model)
-    fan_in = grown.weights[-1].shape[0]
+    fan_in = model.weights[-1].shape[0]
     bound = 1.0 / np.sqrt(fan_in)
     new_cols = rng.uniform(-bound, bound, size=(fan_in, q_new))
-    grown.weights[-1] = np.hstack([grown.weights[-1], new_cols])
-    grown.biases[-1] = np.concatenate([grown.biases[-1], np.zeros(q_new)])
-    return grown
+    return MlpModel(
+        weights=[*model.weights[:-1], np.hstack([model.weights[-1], new_cols])],
+        biases=[*model.biases[:-1], np.concatenate([model.biases[-1], np.zeros(q_new)])],
+    )
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
+
+
+def as_features(X: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """Feature rows as floats.  Pixel bytes (uint8) become byte / 255,
+    computed in float32 and written into an array of dtype; float rows
+    pass through, widened only where dtype is wider."""
+    if X.dtype != np.uint8:
+        return X.astype(np.promote_types(X.dtype, dtype), copy=False)
+    return np.divide(X, np.float32(255), out=np.empty(X.shape, dtype), dtype=np.float32)
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -157,24 +174,46 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def teacher_targets(
-    teacher: TeacherSnapshot, X: np.ndarray, temperature: float, chunk: int
+def forward_chunked(
+    model: MlpModel,
+    X: np.ndarray,
+    rows: int,
+    per_chunk: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """softmax(teacher logits / temperature) for every row of X, through
-    forward_batch on min(chunk, len(X)) rows at a time.
+    """per_chunk(logits, penultimate features) of every row of X, stacked by
+    row.  X goes through forward_batch min(rows, len(X)) rows at a time,
+    each chunk scaled with as_features and freed before the next is made,
+    so no float copy of X is larger than one chunk; per_chunk keeps what
+    its caller needs of a chunk and nothing else.
 
     BLAS picks its kernel from the matrix shapes (one row goes through a
     matrix-vector kernel, small products through a small-matrix one), and
     the kernels round differently.  So every forward here has exactly
-    `chunk` rows, as a full training batch does: when len(X) is not a
+    `rows` rows, as a full training batch does: when len(X) is not a
     multiple of it, the last chunk overlaps the one before.
     """
-    targets = np.empty((len(X), teacher.num_classes))
-    for start in range(0, len(X), chunk):
-        lo = max(0, min(start, len(X) - chunk))
-        t_logits, _ = forward_batch(teacher.model, X[lo : lo + chunk])
-        targets[lo : lo + chunk] = softmax(t_logits / temperature)
-    return targets
+    if rows < 1 or len(X) == 0:
+        raise ConfigurationError("a chunked forward needs rows >= 1 and at least one row of X")
+    out = None
+    for start in range(0, len(X), rows):
+        lo = max(0, min(start, len(X) - rows))
+        logits, acts = forward_batch(model, as_features(X[lo : lo + rows], np.float64))
+        part = per_chunk(logits, acts[-1])
+        if out is None:
+            out = np.empty((len(X), *part.shape[1:]), part.dtype)
+        out[lo : lo + len(part)] = part
+        del logits, acts, part  # frees the scaled chunk before the next is made
+    return out
+
+
+def teacher_targets(
+    teacher: TeacherSnapshot, X: np.ndarray, temperature: float, chunk: int
+) -> np.ndarray:
+    """softmax(teacher logits / temperature) for every row of X, from
+    forwards of exactly min(chunk, len(X)) rows (see forward_chunked)."""
+    return forward_chunked(
+        teacher.model, X, chunk, lambda logits, _: softmax(logits / temperature)
+    )
 
 
 def _loss_and_grads(
@@ -252,7 +291,8 @@ def train_task(
 ) -> tuple[MlpModel, list[float]]:
     """Mini-batch gradient descent with momentum on rows X with head-slot
     labels y; returns the trained model and the per-epoch mean loss trace.
-    Deterministic given seed, which orders the mini-batches."""
+    Deterministic given seed, which orders the mini-batches.  X may be
+    pixel bytes: each mini-batch is scaled with as_features once gathered."""
     lcfg.validate()
     tcfg.validate()
     y = np.asarray(y)
@@ -269,7 +309,8 @@ def train_task(
 
     # the trained model's arrays are views into one buffer, a copy of the
     # input's; momentum and gradients live in buffers of the same layout,
-    # so one step is four whole-buffer operations
+    # so one step is four whole-buffer operations.  The step lr * vel goes
+    # into the gradient buffer, which the next backprop overwrites in full.
     flat = np.concatenate(
         [a.ravel() for W, b in zip(model.weights, model.biases) for a in (W, b)],
         dtype=np.float64,
@@ -279,7 +320,6 @@ def train_task(
     grad = np.empty_like(flat)
     grads = _layer_views(grad, model)
     vel = np.zeros_like(flat)
-    step = np.empty_like(flat)
 
     # the teacher's targets for a full batch come from one pass per task; a
     # short last batch gets a forward of its own shape (see teacher_targets)
@@ -292,18 +332,19 @@ def train_task(
         losses = []
         for start in range(0, len(y), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
+            xb = as_features(X[batch], np.float64)
             if p_t is None:
                 targets = None
             elif len(batch) == full:
                 targets = p_t[batch]
             else:
-                targets = teacher_targets(teacher, X[batch], lcfg.temperature, len(batch))
-            loss, _ = _loss_and_grads(model, X[batch], y[batch], targets, lcfg, grads)
+                targets = teacher_targets(teacher, xb, lcfg.temperature, len(batch))
+            loss, _ = _loss_and_grads(model, xb, y[batch], targets, lcfg, grads)
             losses.append(loss * len(batch))
             vel *= tcfg.momentum
             vel += grad
-            np.multiply(vel, tcfg.learning_rate, out=step)
-            flat -= step
+            np.multiply(vel, tcfg.learning_rate, out=grad)
+            flat -= grad
         epoch_loss = float(np.sum(losses) / len(y))
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)

@@ -147,7 +147,13 @@ def conditional_affinities(
 
 
 def joint_affinities(X: np.ndarray, perplexity: float) -> np.ndarray:
-    cond = conditional_affinities(pairwise_sq_dists(X), perplexity)
+    # distances of the rows as given, not centred: rows with a large common
+    # offset can overflow here although pca_reduce, which centres, does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = pairwise_sq_dists(X)
+    if not np.all(np.isfinite(d2)):
+        raise DataError("feature values too large: the t-SNE squared distances overflow")
+    cond = conditional_affinities(d2, perplexity)
     P = (cond + cond.T) / (2.0 * X.shape[0])
     return np.maximum(P, _EPS)
 

@@ -17,7 +17,6 @@ from cilbench.data import (
     CIFAR_RECORD_BYTES,
     BlobsSpec,
     StreamSpec,
-    as_features,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
@@ -35,6 +34,7 @@ from cilbench.harness import (
 from cilbench.learner import (
     LossConfig,
     TrainConfig,
+    as_features,
     batch_loss_and_grads,
     init_mlp,
     snapshot_teacher,

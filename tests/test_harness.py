@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from cilbench.harness import (
     run_and_emit,
     run_experiment,
 )
-from cilbench.learner import MlpModel, TrainConfig
+from cilbench.learner import MlpModel, TrainConfig, as_features, forward_batch, init_mlp
 from cilbench.sampler import ExemplarStore, SamplerParams, allocate_quota, random_sample
 
 
@@ -83,6 +84,65 @@ class TestEvaluate:
         ds = make_blobs(BlobsSpec(2, 10), 0)
         with pytest.raises(ConfigurationError):
             evaluate(zero, ds.X_test, ds.y_test, classifier="nme")
+
+    # evaluate forwards TrainConfig.batch_size (128) rows at a time
+    @pytest.mark.parametrize("n", [20, 128, 256, 257])
+    @pytest.mark.parametrize("classifier", ["softmax_head", "nme"])
+    def test_chunked_predictions_equal_whole_pool(self, pixel_rows, classifier, n):
+        # labels = the predictions of one whole-pool forward, so accuracy 1.0
+        # means every chunked prediction equals its whole-pool one
+        pool = pixel_rows(n, seed=n)
+        model = init_mlp(3072, (32, 16), 5, seed=1)
+        logits, acts = forward_batch(model, as_features(pool, np.float64))
+        slot_to_class = [7, 3, 9, 1, 4]
+        means = {c: acts[-1][i::4].mean(axis=0) for i, c in enumerate([2, 5, 6, 8])}
+        if classifier == "nme":
+            dist = np.stack([np.linalg.norm(acts[-1] - means[c], axis=1) for c in sorted(means)],
+                            axis=1)
+            want = np.asarray(sorted(means))[np.argmin(dist, axis=1)]
+        else:
+            want = np.asarray(slot_to_class)[np.argmax(logits, axis=1)]
+        assert len(np.unique(want)) > 1
+        assert evaluate(model, pool, want, classifier, means, slot_to_class) == 1.0
+
+    @staticmethod
+    def _evaluate_peak(pool, classifier, hidden):
+        """tracemalloc peak in bytes of evaluate on pool."""
+        y = np.zeros(len(pool), dtype=np.int64)
+        model = init_mlp(3072, hidden, 10, seed=2)
+        width = model.weights[-1].shape[0]
+        means = {c: np.full(width, c / 10) for c in range(10)}
+        evaluate(model, pool[:10], y[:10], classifier, means)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            evaluate(model, pool, y, classifier, means)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # without hidden layers the penultimate features are the scaled rows
+    @pytest.mark.parametrize("classifier, hidden", [("softmax_head", (16,)), ("nme", (16,)),
+                                                    ("softmax_head", ())],
+                             ids=["softmax-hidden-16", "nme-hidden-16", "softmax-no-hidden"])
+    def test_peak_memory_below_quarter_of_float64_pool(self, pixel_rows, classifier, hidden):
+        # the pool stays bytes: one chunk of rows is scaled at a time
+        pool = pixel_rows(1000, seed=0)
+        peak = self._evaluate_peak(pool, classifier, hidden)
+        limit = pool.size * np.dtype(np.float64).itemsize // 4
+        assert peak < limit, f"peak {peak} bytes, a quarter of the float64 pool {limit} bytes"
+
+    # NME without hidden layers takes its distances on scaled rows, which
+    # holds three chunk-sized arrays at once: that peak does not grow with
+    # the pool either
+    @pytest.mark.parametrize("hidden", [(16,), ()], ids=["hidden-16", "no-hidden"])
+    @pytest.mark.parametrize("classifier", ["softmax_head", "nme"])
+    def test_peak_memory_does_not_grow_with_pool(self, pixel_rows, classifier, hidden):
+        pool = pixel_rows(1500, seed=0)
+        small = self._evaluate_peak(pool[:500], classifier, hidden)
+        large = self._evaluate_peak(pool, classifier, hidden)
+        # the predictions and their comparison with y are the only per-row arrays
+        per_row = 2 * np.dtype(np.int64).itemsize + np.dtype(bool).itemsize
+        assert large - small <= 1000 * per_row, f"peak {small} -> {large} bytes"
 
 
 class TestRunExperiment:

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from cilbench.learner import (
     LossConfig,
     MlpModel,
     TrainConfig,
+    as_features,
     batch_loss_and_grads,
     forward_batch,
+    forward_chunked,
     grow_head,
     init_mlp,
     snapshot_teacher,
@@ -365,6 +368,120 @@ class TestTrainingBitExact:
         # every row in -(-n // full) forwards of `full` rows, then one forward
         # per epoch of the short last batch
         assert teacher_rows == [full] * -(-n // full) + [n % full] * epochs * (n % full > 0)
+
+
+class TestPixelBytes:
+    """train_task scales each gathered mini-batch itself, so pixel bytes
+    train exactly as the float32 rows as_features makes of them."""
+
+    # (rows, teacher head or None); batch_size 32, so 98 and 97 rows end
+    # each epoch on a two-row and a one-row batch
+    @pytest.mark.parametrize("n, ell", [(64, None), (98, 3), (97, 4)],
+                             ids=["full-batches-no-teacher", "two-row-last-batch",
+                                  "one-row-last-batch"])
+    def test_equal_to_float32_rows(self, pixel_rows, n, ell):
+        pixels = pixel_rows(n, seed=n)
+        y = np.random.default_rng(0).integers(0, 6, size=n)
+        model = init_mlp(3072, (32,), 6, seed=1)
+        teacher = None if ell is None else snapshot_teacher(init_mlp(3072, (32,), ell, seed=2))
+        tcfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, momentum=0.9)
+        got, got_trace = train_task(model, pixels, y, teacher, seed=3, tcfg=tcfg)
+        want, want_trace = train_task(model, as_features(pixels), y, teacher, seed=3, tcfg=tcfg)
+        assert got_trace == want_trace
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+    # without hidden layers the teacher's penultimate features are its
+    # scaled input rows
+    @pytest.mark.parametrize("hidden", [(8,), ()], ids=["hidden-8", "no-hidden"])
+    def test_peak_memory_below_float32_rows(self, pixel_rows, hidden):
+        # no float copy of the task: one scaled batch at a time
+        pixels = pixel_rows(1000, seed=5)
+        y = np.random.default_rng(6).integers(0, 4, size=1000)
+        model = init_mlp(3072, hidden, 4, seed=7)
+        teacher = snapshot_teacher(init_mlp(3072, hidden, 2, seed=8))
+        tcfg = TrainConfig(epochs=1)
+        train_task(model, pixels[:10], y[:10], teacher, seed=0, tcfg=tcfg)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            train_task(model, pixels, y, teacher, seed=0, tcfg=tcfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        limit = pixels.size * np.dtype(np.float32).itemsize
+        assert peak < limit, f"peak {peak} bytes, float32 rows {limit} bytes"
+
+
+class TestChunkedForward:
+    """forward_chunked against one forward of the whole matrix."""
+
+    # BLAS may round a row's products differently at another row count, so
+    # chunked outputs agree with the whole forward to within this fraction
+    # of their largest magnitude (about 3072 * float64 eps); one chunk is
+    # the whole forward itself
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("n", [1, 20, 32, 96, 97])
+    def test_close_to_whole_forward_and_equal_within_one_chunk(self, pixel_rows, n):
+        pixels = pixel_rows(n, seed=n)
+        model = init_mlp(3072, (32, 16), 5, seed=9)
+        logits = forward_chunked(model, pixels, 32, lambda logits, _: logits)
+        feats = forward_chunked(model, pixels, 32, lambda _, feats: feats)
+        want_logits, acts = forward_batch(model, as_features(pixels, np.float64))
+        for got, want in ((logits, want_logits), (feats, acts[-1])):
+            assert got.shape == want.shape
+            if n <= 32:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(want))
+
+    def test_every_forward_has_chunk_rows(self, monkeypatch):
+        sizes = []
+        forward = learner.forward_batch
+
+        def recording(model, X):
+            sizes.append(len(X))
+            return forward(model, X)
+
+        monkeypatch.setattr(learner, "forward_batch", recording)
+        model = init_mlp(4, (8,), 3, seed=10)
+        X = np.arange(70 * 4, dtype=np.float64).reshape(70, 4)
+        logits = forward_chunked(model, X, 32, lambda logits, _: logits)
+        assert sizes == [32, 32, 32]
+        # the overlapping last chunk covers rows 38..69
+        assert np.array_equal(logits[38:], forward(model, X[38:])[0])
+
+    def test_no_rows_rejected(self):
+        model = init_mlp(4, (8,), 3, seed=10)
+        for X, rows in ((np.zeros((5, 4)), 0), (np.zeros((0, 4)), 32)):
+            with pytest.raises(ConfigurationError):
+                forward_chunked(model, X, rows, lambda logits, _: logits)
+
+
+class TestSharedWeights:
+    """Teachers and grown heads share the arrays nothing writes."""
+
+    def test_snapshot_is_a_new_model_over_the_same_arrays(self):
+        model = init_mlp(4, (8,), 3, seed=11)
+        snap = snapshot_teacher(model)
+        assert snap.model is not model
+        assert snap.num_classes == 3
+        assert all(a is b for a, b in zip(snap.model.weights + snap.model.biases,
+                                           model.weights + model.biases))
+
+    def test_grow_then_train_leaves_old_model_and_teacher_untouched(self):
+        X, y = _task(48, 2, np.float64, seed=12)
+        tcfg = TrainConfig(epochs=3, batch_size=16)
+        old, _ = train_task(init_mlp(2, (8, 6), 3, seed=13), X, y % 3, seed=0, tcfg=tcfg)
+        teacher = snapshot_teacher(old)
+        before = [a.tobytes() for a in old.weights + old.biases]
+        grown = grow_head(old, 3, seed=14)
+        assert grown.weights[0] is old.weights[0] and grown.biases[1] is old.biases[1]
+        assert not np.shares_memory(grown.weights[-1], old.weights[-1])
+        trained, _ = train_task(grown, X, y, teacher, seed=1, tcfg=tcfg)
+        assert not np.array_equal(trained.weights[0], old.weights[0])
+        assert [a.tobytes() for a in old.weights + old.biases] == before
+        assert [a.tobytes() for a in teacher.model.weights + teacher.model.biases] == before
 
 
 class TestInference:

@@ -279,6 +279,14 @@ class TestTsne:
         with pytest.raises(DataError, match="Gram matrix overflows"):
             tsne_reduce(X, 2)
 
+    def test_distance_overflow_is_data_error(self):
+        # a large common offset passes the centred PCA start but overflows
+        # the affinities' distances; under filterwarnings=error a numpy
+        # warning would surface here instead of the DataError
+        X = 1e155 + np.random.default_rng(0).normal(size=(20, 3)) * 1e151
+        with pytest.raises(DataError, match="squared distances overflow"):
+            tsne_reduce(X, 2)
+
     def test_perplexity_auto_cap(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(7, 3))  # default perplexity 30 must be capped
@@ -312,6 +320,7 @@ class TestFusedDescent:
             (160, {}),
             (24, {"iterations": 1}),
             (24, {"iterations": 40, "exaggeration_iters": 40}),
+            (24, {"iterations": 40, "exaggeration_iters": 90}),
         ],
         # every run starts from the PCA, which the ids name
         ids=lambda v: f"{v}-pca" if isinstance(v, int) else None,

@@ -8,7 +8,6 @@ from cilbench.data import (
     BlobsSpec,
     Dataset,
     StreamSpec,
-    as_features,
     load_cifar100,
     make_blobs,
     make_disjoint_stream,
@@ -16,6 +15,7 @@ from cilbench.data import (
     pack_cifar_record,
 )
 from cilbench.errors import ConfigurationError, DataError
+from cilbench.learner import as_features
 
 
 def write_cifar_file(path, records):
