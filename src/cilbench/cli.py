@@ -22,6 +22,17 @@ from .harness import ablate_n, load_config, run_and_emit
 from .selfcheck import run_selfcheck
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type of a comma-separated list of integers; a bad list
+    is a usage error (exit 2) before any config is read."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cilbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -36,8 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     abl_p = sub.add_parser("ablate-n", help="neighbor-count ablation")
     add_common(abl_p)
-    abl_p.add_argument("--values", default="0,3,5,8", help="comma-separated n values")
-    abl_p.add_argument("--seeds", default=None, help="comma-separated seeds")
+    abl_p.add_argument(
+        "--values", type=_int_list, default="0,3,5,8", help="comma-separated n values"
+    )
+    abl_p.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
 
     ver_p = sub.add_parser("verify", help="run the property/oracle suite")
     ver_p.add_argument("--seed", type=int, default=0)
@@ -67,11 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"results written to {cfg.out_dir}")
         elif args.command == "ablate-n":
             cfg = _resolved_config(args)
-            values = [int(v) for v in args.values.split(",")]
-            seeds = (
-                [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
-            )
-            table = ablate_n(cfg, values, seeds, cfg.out_dir)
+            table = ablate_n(cfg, args.values, args.seeds or [cfg.seed], cfg.out_dir)
             for (n, seed), aa in sorted(table.items()):
                 print(f"n={n} seed={seed}: avg_accuracy={aa:.4f}")
         else:  # verify

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import learner, sampler
 from .data import BlobsSpec, Dataset, StreamSpec, load_cifar100, make_blobs, make_stream
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DataError, DivergenceError
 from .learner import LossConfig, MlpModel, TrainConfig, as_features
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
 from .sampler import ExemplarStore, SamplerParams, allocate_quota
@@ -61,8 +61,10 @@ class RunConfig:
         _check_types(self)
         if self.dataset not in ("blobs", "cifar100"):
             raise ConfigurationError(f"unknown dataset {self.dataset!r}")
-        if self.dataset == "cifar100" and not self.cifar_train_path:
-            raise ConfigurationError("cifar100 dataset requires cifar_train_path")
+        if self.dataset == "cifar100" and not (self.cifar_train_path and self.cifar_test_path):
+            raise ConfigurationError(
+                "cifar100 dataset requires cifar_train_path and cifar_test_path"
+            )
         if self.sampler_kind not in ("diverse", "random"):
             raise ConfigurationError(f"unknown sampler {self.sampler_kind!r}")
         if self.reducer not in ("tsne", "pca", "none"):
@@ -157,9 +159,8 @@ def load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset == "blobs":
         return make_blobs(cfg.blobs, _module_seed(cfg.seed, _SEED_STREAM))
     ds = load_cifar100(cfg.cifar_train_path, "train")
-    if cfg.cifar_test_path:
-        test = load_cifar100(cfg.cifar_test_path, "test")
-        ds.X_test, ds.y_test = test.X_test, test.y_test
+    test = load_cifar100(cfg.cifar_test_path, "test")
+    ds.X_test, ds.y_test = test.X_test, test.y_test
     return ds
 
 
@@ -228,6 +229,13 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             f"memory_budget {cfg.memory_budget} below class count {ds.num_classes}"
         )
     tasks = make_stream(ds, cfg.stream, _module_seed(cfg.seed, _SEED_STREAM, 1))
+    # each task evaluates on the test rows of every class seen so far, so
+    # when the first task's pool has a row, every later pool has one too
+    first_classes = np.unique(ds.y_train[tasks[0].example_indices])
+    if not np.isin(ds.y_test, first_classes).any():
+        raise DataError(
+            f"no test rows of the first task's classes {first_classes.tolist()}"
+        )
 
     store = ExemplarStore(budget=cfg.memory_budget)
     model: MlpModel | None = None
@@ -463,20 +471,25 @@ def run_and_emit(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
 def ablate_n(
     cfg: RunConfig, values: list[int], seeds: list[int], out_dir: str
 ) -> dict[tuple[int, int], float]:
-    """Run the neighbor-count ablation over shared seeds; one combined CSV."""
+    """Run the neighbor-count ablation over shared seeds; one combined CSV.
+    Every run's config is validated before the first run trains."""
+    runs = [
+        (n, seed, dataclasses.replace(
+            cfg,
+            seed=seed,
+            sampler_kind="diverse",
+            sampler_params=dataclasses.replace(cfg.sampler_params, n=n),
+        ))
+        for n in values
+        for seed in seeds
+    ]
+    for _, _, run_cfg in runs:
+        run_cfg.validate()
     rows = ["n,seed,avg_accuracy"]
     out: dict[tuple[int, int], float] = {}
-    for n in values:
-        for seed in seeds:
-            run_cfg = dataclasses.replace(
-                cfg,
-                seed=seed,
-                sampler_kind="diverse",
-                sampler_params=dataclasses.replace(cfg.sampler_params, n=n),
-            )
-            result = run_experiment(run_cfg)
-            aa = result.records[-1].avg_accuracy
-            out[(n, seed)] = aa
-            rows.append(f"{n},{seed},{aa!r}")
+    for n, seed, run_cfg in runs:
+        aa = run_experiment(run_cfg).records[-1].avg_accuracy
+        out[(n, seed)] = aa
+        rows.append(f"{n},{seed},{aa!r}")
     _write_files(out_dir, {"ablation.csv": "\n".join(rows) + "\n"})
     return out

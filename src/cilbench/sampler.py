@@ -15,6 +15,7 @@ exhaustive scan and shares no code with diverse_sample.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,12 +156,13 @@ def verify_selection(E, p: SamplerParams, selection: list[int]) -> VerifyResult:
     if any(not 0 <= i < n_pts for i in selection):
         return VerifyResult(False, "index out of range")
 
-    # Imported here: scipy takes 0.5 s and ~37 MB to import; only this oracle needs it.
-    from scipy.spatial.distance import cdist
-
-    dist = cdist(pts, pts)
-    d_mean = cdist(pts, pts.mean(axis=0, keepdims=True))[:, 0]
-    if d_mean[selection[0]] > d_mean.min() + 1e-12:
+    # math.dist, not a numpy formula, so that no distance here repeats the
+    # sampler's arithmetic
+    rows = pts.tolist()
+    dist = np.array([[math.dist(a, b) for b in rows] for a in rows])
+    mean = pts.mean(axis=0).tolist()
+    d_mean = [math.dist(a, mean) for a in rows]
+    if d_mean[selection[0]] > min(d_mean) + 1e-12:
         return VerifyResult(False, f"first pick {selection[0]} is not mean-closest")
 
     count_cache: dict[float, np.ndarray] = {}

@@ -47,9 +47,7 @@ from cilbench.sampler import (
     verify_selection,
 )
 from oracles import covering_radius, distilled_softmax, kd_loss
-from test_harness import small_config
-from test_learner import fd_gradient
-from test_sampler import planted_outlier_instance
+from helpers import fd_gradient, planted_outlier_instance, small_config
 
 
 def report(criterion, ok, t0, extra=""):

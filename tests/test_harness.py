@@ -34,23 +34,7 @@ from cilbench.harness import (
 )
 from cilbench.learner import MlpModel, TrainConfig, as_features, forward_batch, init_mlp
 from cilbench.sampler import ExemplarStore, SamplerParams, allocate_quota, random_sample
-
-
-def small_config(**overrides) -> RunConfig:
-    base = dict(
-        dataset="blobs",
-        blobs=BlobsSpec(num_classes=4, per_class=40, dim=2, spread=0.3,
-                        outlier_fraction=0.1),
-        stream=StreamSpec(mode="disjoint", classes_per_task=2),
-        sampler_kind="diverse",
-        sampler_params=SamplerParams(m=1, n=2, r0=0.5),
-        reducer="none",
-        memory_budget=20,
-        train=TrainConfig(epochs=6, batch_size=16, learning_rate=0.05, momentum=0.9),
-        seed=7,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+from helpers import small_config
 
 
 class TestAverageAccuracy:
@@ -422,13 +406,15 @@ class TestCli:
             # Gonzalez's k-center is sampler_kind "diverse" with n=0
             {"sampler_kind": "gonzalez"},
             {"blobs": {"num_classes": 1}},
+            # the evaluation pool of a CIFAR run comes from its test file
+            {"dataset": "cifar100", "cifar_train_path": "train.bin", "reducer": "pca"},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
              "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
              "tsne-negative-lr", "tsne-momentum-above-one", "stream-seed", "train-seed",
              "tsne-seed", "tsne-target-dim", "tsne-init", "fuzzy-zero-fuzz",
-             "sampler-gonzalez", "blobs-one-class"],
+             "sampler-gonzalez", "blobs-one-class", "cifar-without-test-path"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
@@ -507,6 +493,49 @@ class TestCli:
             )
             assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 3
             assert not out.exists()
+
+    def test_test_split_without_first_task_classes_exits_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        rng = np.random.default_rng(0)
+
+        def write(path, labels):
+            path.write_bytes(b"".join(
+                pack_cifar_record(0, c, rng.integers(0, 256, 3072, dtype=np.uint8))
+                for c in labels
+            ))
+            return str(path)
+
+        out = tmp_path / "out"
+        cfg = dataclasses.replace(
+            small_config(), dataset="cifar100", reducer="pca", out_dir=str(out),
+            cifar_train_path=write(tmp_path / "train.bin", [0, 1, 2, 3] * 10),
+            # the first task holds classes 0 and 1; the test file has neither
+            cifar_test_path=write(tmp_path / "test.bin", [2, 3] * 5),
+            stream=StreamSpec(mode="disjoint", classes_per_task=2, class_order=(0, 1, 2, 3)),
+        )
+        assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 3
+        assert "no test rows of the first task's classes [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--values", "a,b"], ["--values", ""], ["--seeds", "x"],
+         ["--values", "0,-1"], ["--seeds", "1,-1"]],
+        ids=["values-not-ints", "values-empty", "seeds-not-ints", "negative-n",
+             "negative-seed"],
+    )
+    def test_bad_ablation_exits_2_before_training(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "abl"
+        path = self.write_config(tmp_path, small_config(out_dir=str(out)))
+        try:  # argparse exits on a malformed list; a bad value is returned
+            code = cli_main(["ablate-n", "--config", path, *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
 
     def test_ablate_n(self, tmp_path, capsys):
         cfg = small_config(out_dir=str(tmp_path / "abl"))

@@ -22,6 +22,7 @@ from cilbench.learner import (
     snapshot_teacher,
     train_task,
 )
+from helpers import fd_gradient
 from oracles import (
     ce_loss,
     cross_distilled_loss,
@@ -30,15 +31,6 @@ from oracles import (
     nme_classify,
     train_task_reference,
 )
-
-
-def fd_gradient(model, k, idx, X, y, teacher, lcfg, eps=1e-6):
-    plus, minus = copy.deepcopy(model), copy.deepcopy(model)
-    plus.weights[k][idx] += eps
-    minus.weights[k][idx] -= eps
-    lp, _ = batch_loss_and_grads(plus, X, y, teacher, lcfg)
-    lm, _ = batch_loss_and_grads(minus, X, y, teacher, lcfg)
-    return (lp - lm) / (2 * eps)
 
 
 class TestForward:

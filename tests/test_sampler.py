@@ -16,6 +16,7 @@ from cilbench.sampler import (
     random_sample,
     verify_selection,
 )
+from helpers import planted_outlier_instance
 from oracles import covering_radius, diverse_sample_reference
 
 WORKED = np.array([[0, 0], [1, 0], [0.1, 0], [10, 10]], dtype=float)
@@ -28,25 +29,6 @@ def brute_force_kcenter_radius(pts, m):
     for subset in combinations(range(len(pts)), m):
         best = min(best, dist[:, subset].min(axis=1).max())
     return best
-
-
-def planted_outlier_instance(rng, n_outliers=2):
-    """Tight clusters plus isolated far points; returns (pts, outlier idx set)."""
-    clusters = []
-    centers = rng.uniform(-2, 2, size=(3, 2))
-    for c in centers:
-        clusters.append(c + rng.normal(0, 0.1, size=(rng.integers(15, 30), 2)))
-    pts = np.vstack(clusters)
-    outliers = []
-    for _ in range(n_outliers):
-        direction = rng.normal(size=2)
-        direction /= np.linalg.norm(direction)
-        outliers.append(direction * rng.uniform(20, 40))
-    start = len(pts)
-    pts = np.vstack([pts, np.array(outliers)])
-    perm = rng.permutation(len(pts))
-    inverse = np.argsort(perm)
-    return pts[perm], {int(inverse[start + k]) for k in range(n_outliers)}
 
 
 class TestDiverseSample:
