@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learner, sampler
-from .data import BlobsSpec, Dataset, StreamSpec, load_cifar100, make_blobs, make_stream
+from .data import (
+    BlobsSpec, Dataset, StreamSpec, TaskBatch, load_cifar100, make_blobs, make_stream,
+)
 from .errors import ConfigurationError, DataError, DivergenceError
 from .learner import LossConfig, MlpModel, TrainConfig, as_features
 from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
@@ -218,10 +220,9 @@ def evaluate(
     return float(np.mean(pred == y))
 
 
-def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
-    """Run the full class-incremental loop over the configured stream."""
-    cfg.validate()
-    ds = dataset if dataset is not None else load_dataset(cfg)
+def _checked_stream(cfg: RunConfig, ds: Dataset) -> list[TaskBatch]:
+    """The task stream of cfg over ds, after the checks that need the data
+    and must pass before any training."""
     # every class gets a slot by the end of the stream, and each slot needs
     # at least one exemplar
     if cfg.memory_budget < ds.num_classes:
@@ -236,6 +237,14 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         raise DataError(
             f"no test rows of the first task's classes {first_classes.tolist()}"
         )
+    return tasks
+
+
+def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
+    """Run the full class-incremental loop over the configured stream."""
+    cfg.validate()
+    ds = dataset if dataset is not None else load_dataset(cfg)
+    tasks = _checked_stream(cfg, ds)
 
     store = ExemplarStore(budget=cfg.memory_budget)
     model: MlpModel | None = None
@@ -472,7 +481,8 @@ def ablate_n(
     cfg: RunConfig, values: list[int], seeds: list[int], out_dir: str
 ) -> dict[tuple[int, int], float]:
     """Run the neighbor-count ablation over shared seeds; one combined CSV.
-    Every run's config is validated before the first run trains."""
+    Every run's config, and every seed's data and stream, is checked before
+    the first run trains."""
     runs = [
         (n, seed, dataclasses.replace(
             cfg,
@@ -485,6 +495,11 @@ def ablate_n(
     ]
     for _, _, run_cfg in runs:
         run_cfg.validate()
+    # the data and the stream depend on the seed, not on n; one dataset is
+    # held at a time
+    for seed in seeds:
+        seed_cfg = dataclasses.replace(cfg, seed=seed)
+        _checked_stream(seed_cfg, load_dataset(seed_cfg))
     rows = ["n,seed,avg_accuracy"]
     out: dict[tuple[int, int], float] = {}
     for n, seed, run_cfg in runs:

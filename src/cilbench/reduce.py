@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 
 _EPS = 1e-12
+# tsne_reduce computes the KL value every KL_EVERY-th step (see
+# kl_trace_steps), as scikit-learn's TSNE checks its error every 50 steps
+KL_EVERY = 50
 
 
 @dataclass
@@ -163,11 +166,14 @@ def kl_divergence_and_grad(
     Y: np.ndarray,
     P_grad: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    with_kl: bool = True,
 ) -> tuple[float, np.ndarray]:
     """KL(P||Q) under the Student-t output kernel and the gradient in Y of
     KL(P_grad||Q) (P_grad defaults to P), from one pass over Q.
 
-    work is a tuple of three (N, N) float64 arrays that receive every N x N
+    With with_kl false the four N x N passes of the KL value are skipped
+    and the value is NaN; the gradient is the same to the bit.  work is a
+    tuple of three (N, N) float64 arrays that receive every N x N
     intermediate; without it they are allocated here.  The operation order
     is fixed, so results do not depend on whether work is given.
     """
@@ -177,7 +183,8 @@ def kl_divergence_and_grad(
     if work is None:
         work = tuple(np.empty((n, n)) for _ in range(3))
     a, num, c = work
-    # num = 1 / (1 + pairwise_sq_dists(Y)), zero diagonal
+    # num = 1 / (1 + pairwise_sq_dists(Y)), zero diagonal; Y @ Y.T stays a
+    # one-operand product (numpy's syrk), which rounds unlike a general gemm
     sq = np.sum(Y * Y, axis=1)
     np.matmul(Y, Y.T, out=a)
     np.multiply(a, 2.0, out=a)
@@ -190,23 +197,37 @@ def kl_divergence_and_grad(
     np.fill_diagonal(num, 0.0)
     Q = np.divide(num, num.sum(), out=a)
     np.maximum(Q, _EPS, out=Q)
-    np.divide(P, Q, out=c)
-    np.log(c, out=c)
-    np.multiply(P, c, out=c)
-    kl = float(np.sum(c))
-    # W = (P_grad - Q) * num; grad = 4 (diag(rowsum W) - W) @ Y
-    W = np.subtract(P_grad, Q, out=a)
-    np.multiply(W, num, out=W)
-    rowsum = W.sum(axis=1)
-    L = np.negative(W, out=W)
-    L.flat[:: n + 1] += rowsum
+    kl = np.nan
+    if with_kl:
+        np.divide(P, Q, out=c)
+        np.log(c, out=c)
+        np.multiply(P, c, out=c)
+        kl = float(np.sum(c))
+    # L = (Q - P_grad) * num is -W for W = (P_grad - Q) * num, exactly;
+    # grad = 4 (diag(rowsum W) - W) @ Y = 4 (L - diag(rowsum L)) @ Y
+    L = np.subtract(Q, P_grad, out=a)
+    np.multiply(L, num, out=L)
+    L.flat[:: n + 1] -= L.sum(axis=1)
     grad = 4.0 * (L @ Y)
     return kl, grad
 
 
+def kl_trace_steps(iterations: int, exaggeration_iters: int) -> list[int]:
+    """The kl_trace entries tsne_reduce computes: every KL_EVERY-th, the
+    last step of early exaggeration and the last step."""
+    steps = set(range(KL_EVERY - 1, iterations, KL_EVERY)) | {iterations - 1}
+    if 0 < exaggeration_iters <= iterations:
+        steps.add(exaggeration_iters - 1)
+    return sorted(steps)
+
+
 def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
     """Exact t-SNE of X to d dimensions, started from its PCA; falls back
-    to PCA for tiny or degenerate inputs."""
+    to PCA for tiny or degenerate inputs.
+
+    kl_trace[t] is KL(P||Q) after step t at the steps kl_trace_steps names
+    and NaN at the others: the value costs four of a step's N x N passes,
+    and only the end of exaggeration and the last step are read."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     cfg.validate()
@@ -229,22 +250,23 @@ def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
     perplexity = max(perplexity, 2.0)
     P = joint_affinities(M, perplexity)
 
-    # one kernel call per step: call t+1 also yields KL(P||Q) at the Y that
-    # step t produced, so the trace needs a single call after the loop
+    # one kernel call per step: call t+1 can also yield KL(P||Q) at the Y
+    # that step t produced, so the trace needs a single call after the loop
     work = tuple(np.empty((n, n)) for _ in range(3))
     P_exag = np.maximum(P * cfg.early_exaggeration, _EPS)
     velocity = np.zeros_like(Y)
-    trace: list[float] = []
+    trace = [np.nan] * cfg.iterations
+    steps = set(kl_trace_steps(cfg.iterations, cfg.exaggeration_iters))
     for it in range(cfg.iterations):
         P_grad = P_exag if it < cfg.exaggeration_iters else P
         mom = cfg.momentum_start if it < cfg.momentum_switch_iter else cfg.momentum_final
-        kl, grad = kl_divergence_and_grad(P, Y, P_grad, work)
+        kl, grad = kl_divergence_and_grad(P, Y, P_grad, work, with_kl=it - 1 in steps)
         if it > 0:
-            trace.append(kl)
+            trace[it - 1] = kl
         velocity = mom * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-    trace.append(kl_divergence_and_grad(P, Y, work=work)[0])
+    trace[-1] = kl_divergence_and_grad(P, Y, work=work)[0]
     if not np.all(np.isfinite(Y)):
         raise DataError("t-SNE diverged to non-finite coordinates")
     return Embedding(points=Y, kl_trace=trace)

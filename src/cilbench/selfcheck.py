@@ -1,7 +1,8 @@
 """Built-in property and oracle battery behind the `verify` CLI command.
 
 A fast subset of the test suite that needs no pytest: sampler equivalence
-and oracle round-trips on random instances, plus gradient spot checks.
+and oracle round-trips on random instances, plus finite-difference checks
+of the training loss gradient and the t-SNE KL gradient.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import copy
 
 import numpy as np
 
-from . import learner, sampler
+from . import learner, reduce, sampler
 from .learner import LossConfig
 
 
@@ -73,9 +74,34 @@ def _perturbed_loss(model, k, idx, eps, X, y, teacher, lcfg) -> float:
     return loss
 
 
+def check_tsne_gradient(seed: int = 3, trials: int = 3, tol: float = 1e-4) -> bool:
+    """Central differences of the t-SNE kernel's KL against its gradient, and
+    the gradient without the KL value equal to the one with it."""
+    rng = np.random.default_rng(seed)
+    eps = 1e-6
+    for _ in range(trials):
+        n = int(rng.integers(10, 15))
+        P = reduce.joint_affinities(rng.normal(size=(n, 4)), perplexity=3.0)
+        Y = rng.normal(size=(n, 2))
+        _, grad = reduce.kl_divergence_and_grad(P, Y)
+        if not np.array_equal(grad, reduce.kl_divergence_and_grad(P, Y, with_kl=False)[1]):
+            return False
+        for i in range(n):
+            for j in range(2):
+                Yp, Ym = Y.copy(), Y.copy()
+                Yp[i, j] += eps
+                Ym[i, j] -= eps
+                fd = (reduce.kl_divergence_and_grad(P, Yp)[0]
+                      - reduce.kl_divergence_and_grad(P, Ym)[0]) / (2 * eps)
+                if abs(fd - grad[i, j]) > tol * max(1.0, abs(fd)):
+                    return False
+    return True
+
+
 def run_selfcheck(seed: int = 0) -> list[tuple[str, bool]]:
     return [
         ("filter_off_equivalence", check_filter_off_equivalence(seed)),
         ("oracle_roundtrip", check_oracle_roundtrip(seed + 1)),
         ("gradient_finite_difference", check_gradients(seed + 2)),
+        ("tsne_gradient_finite_difference", check_tsne_gradient(seed + 3)),
     ]

@@ -519,6 +519,33 @@ class TestCli:
         assert "no test rows of the first task's classes [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ablation_checks_every_seeds_test_split_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        rng = np.random.default_rng(0)
+
+        def write(path, labels):
+            path.write_bytes(b"".join(
+                pack_cifar_record(0, c, rng.integers(0, 256, 3072, dtype=np.uint8))
+                for c in labels
+            ))
+            return str(path)
+
+        out = tmp_path / "abl"
+        cfg = dataclasses.replace(
+            small_config(), dataset="cifar100", reducer="pca", out_dir=str(out),
+            cifar_train_path=write(tmp_path / "train.bin", [0, 1, 2, 3] * 10),
+            # seed 0's first task holds class 0, seed 1's does not
+            cifar_test_path=write(tmp_path / "test.bin", [0] * 5),
+            stream=StreamSpec(mode="disjoint", classes_per_task=2),
+        )
+        path = self.write_config(tmp_path, cfg)
+        code = cli_main(["ablate-n", "--config", path, "--values", "0,2", "--seeds", "0,1"])
+        assert code == 3
+        assert "no test rows of the first task's classes [1, 2]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["--values", "a,b"], ["--values", ""], ["--seeds", "x"],
@@ -551,7 +578,7 @@ class TestCli:
     def test_verify_command(self, capsys):
         assert cli_main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from cilbench.reduce import (
     conditional_affinities,
     joint_affinities,
     kl_divergence_and_grad,
+    kl_trace_steps,
     pairwise_sq_dists,
     pca_reduce,
     tsne_reduce,
@@ -344,7 +345,11 @@ class TestFusedDescent:
         )
         assert not emb.warnings
         assert np.array_equal(emb.points, points)
-        assert np.array_equal(np.asarray(emb.kl_trace), np.asarray(trace))
+        # the KL is computed at the scheduled entries only, NaN elsewhere
+        steps = kl_trace_steps(cfg.iterations, cfg.exaggeration_iters)
+        expected = np.full(cfg.iterations, np.nan)
+        expected[steps] = np.asarray(trace)[steps]
+        assert np.array_equal(np.asarray(emb.kl_trace), expected, equal_nan=True)
         assert len(emb.kl_trace) == cfg.iterations
 
     @pytest.mark.parametrize("n", [5, 24, 160])
@@ -358,6 +363,34 @@ class TestFusedDescent:
         # and both halves agree with the two-call reference kernel
         assert kl == oracles.tsne_kl_and_grad(P, Y)[0]
         assert np.array_equal(grad, oracles.tsne_kl_and_grad(P_grad, Y)[1])
+
+    @pytest.mark.parametrize("n", [5, 24, 160])
+    def test_kernel_without_kl_gives_the_same_gradient(self, n):
+        P, Y = random_affinities(n, seed=n)
+        P_grad = np.maximum(P * 12.0, 1e-12)
+        work = tuple(np.full((n, n), np.nan) for _ in range(3))
+        kl, grad = kl_divergence_and_grad(P, Y, P_grad, work, with_kl=False)
+        assert np.isnan(kl)
+        assert np.array_equal(grad, kl_divergence_and_grad(P, Y, P_grad)[1])
+        assert np.array_equal(grad, oracles.tsne_kl_and_grad(P_grad, Y)[1])
+
+    @pytest.mark.parametrize(
+        "iterations, exaggeration_iters, steps",
+        [
+            (1, 100, [0]),
+            (40, 0, [39]),
+            (73, 37, [36, 49, 72]),
+            (40, 90, [39]),
+            (500, 100, [49, 99, 149, 199, 249, 299, 349, 399, 449, 499]),
+        ],
+    )
+    def test_trace_is_finite_exactly_at_the_schedule(self, iterations, exaggeration_iters, steps):
+        X, _ = three_clusters(n_per=8, dim=4)
+        cfg = TsneConfig(iterations=iterations, exaggeration_iters=exaggeration_iters)
+        trace = np.asarray(tsne_reduce(X, 2, cfg).kl_trace)
+        assert len(trace) == iterations
+        assert np.flatnonzero(np.isfinite(trace)).tolist() == steps
+        assert kl_trace_steps(iterations, exaggeration_iters) == steps
 
     def test_kernel_with_work_allocates_less_than_one_matrix(self):
         n = 320
