@@ -133,7 +133,8 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
         bad = int(np.argmax(fine >= CIFAR_NUM_CLASSES))
         raise DataError(f"{path}: record {bad} has fine label {fine[bad]} >= 100")
     if split == "train":
-        missing = np.setdiff1d(np.arange(fine.max() + 1), fine)
+        # np.setdiff1d would import numpy.ma (through np.unique)
+        missing = np.flatnonzero(np.bincount(fine) == 0)
         if missing.size:
             raise DataError(
                 f"{path}: no records for fine labels {missing.tolist()} "

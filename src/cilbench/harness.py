@@ -1,8 +1,12 @@
-"""Experiment orchestration: train -> reduce -> sample -> update memory ->
+"""Experiment orchestration: reduce + train -> sample -> update memory ->
 evaluate, with CSV/JSON result files and seed fan-out.
 
-One experiment is sequential (each task depends on the previous model),
-but independent replicate runs share no state and may run concurrently.
+Each task depends on the previous model, so tasks run one after another.
+Within a task, the class embeddings depend on the class's input rows
+only, so they are set up before training, and where a core would
+otherwise idle (see _fork_pays) the t-SNE descents run in one forked
+child while the task trains.  Independent replicate runs share no state
+and may run concurrently.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import dataclasses
 import json
 import numbers
 import os
+import pickle
+import signal
 import sys
 import time
 import types
@@ -25,7 +31,9 @@ from .data import (
 )
 from .errors import ConfigurationError, DataError, DivergenceError
 from .learner import LossConfig, MlpModel, TrainConfig, as_features
-from .reduce import Embedding, TsneConfig, pca_reduce, tsne_reduce
+from .reduce import (
+    Embedding, TsneConfig, finish_tsne, pca_reduce, tsne_descent, tsne_reduce,
+)
 from .sampler import ExemplarStore, SamplerParams, allocate_quota
 
 # role tags for deterministic per-module seed derivation; 1 is retired, and
@@ -171,7 +179,72 @@ def _reduce_class(cfg: RunConfig, feats: np.ndarray):
         return Embedding(points=feats)
     if cfg.reducer == "pca":
         return pca_reduce(feats, min(cfg.reduce_dim, min(feats.shape)))
-    return tsne_reduce(feats, cfg.reduce_dim, cfg.tsne)
+    return tsne_reduce(feats, cfg.reduce_dim, cfg.tsne, descend=False)
+
+
+def _fork_pays() -> bool:
+    """Whether a task's t-SNE descents run in a forked child: only where a
+    core would otherwise idle while the task trains.  That needs two
+    usable cores and a process of one thread; a multi-threaded BLAS
+    already uses every core, and forking a process with threads can
+    deadlock the child on a lock some other thread held."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1)
+
+
+class _ForkedCall:
+    """fn(), run in a forked child from construction when fork is true,
+    else in this process when result() is called.  The child sends back
+    only the pickled result, or the exception fn raised, which result()
+    raises.  On leaving the with block a child still running is killed
+    and reaped, so none outlives the block."""
+
+    def __init__(self, fn, fork: bool):
+        self.fn, self.pid = fn, None
+        if not fork:
+            return
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child never returns into the caller
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    payload = (True, fn())
+                except Exception as exc:
+                    payload = (False, exc)
+                with os.fdopen(write_fd, "wb") as fh:
+                    pickle.dump(payload, fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid, self.pipe = pid, os.fdopen(read_fd, "rb")
+
+    def result(self):
+        if self.pid is None:
+            return self.fn()
+        data = self.pipe.read()  # to EOF before waiting: the pipe buffer is finite
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0:
+            raise RuntimeError(f"forked child failed with wait status {status}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def _select_exemplars(
@@ -232,7 +305,8 @@ def _checked_stream(cfg: RunConfig, ds: Dataset) -> list[TaskBatch]:
     tasks = make_stream(ds, cfg.stream, _module_seed(cfg.seed, _SEED_STREAM, 1))
     # each task evaluates on the test rows of every class seen so far, so
     # when the first task's pool has a row, every later pool has one too
-    first_classes = np.unique(ds.y_train[tasks[0].example_indices])
+    # a sorted unique of non-negative labels; np.unique would import numpy.ma
+    first_classes = np.flatnonzero(np.bincount(ds.y_train[tasks[0].example_indices]))
     if not np.isin(ds.y_test, first_classes).any():
         raise DataError(
             f"no test rows of the first task's classes {first_classes.tolist()}"
@@ -261,7 +335,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         task_rows = task.example_indices
         task_labels = ds.y_train[task_rows]
 
-        labels_here = np.unique(task_labels).tolist()
+        labels_here = np.flatnonzero(np.bincount(task_labels)).tolist()
         new_classes = [c for c in labels_here if slot_of[c] < 0]
         for c in new_classes:
             slot_of[c] = len(slot_to_class)
@@ -278,29 +352,38 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                 model, len(new_classes), _module_seed(cfg.seed, _SEED_MODEL, task.task_index)
             )
 
+        # an embedding depends on its class's rows only, so it is set up
+        # (bad rows fail) before training; the feature rows are freed here
+        embeddings = [
+            _reduce_class(cfg, as_features(ds.X_train[task_rows[task_labels == cls]], np.float64))
+            for cls in labels_here
+        ]
+        pending = [emb for emb in embeddings if emb.pending is not None]
         stored = [i for c in sorted(store.train_indices) for i in store.train_indices[c]]
         rows = np.concatenate([task_rows, np.asarray(stored, dtype=np.int64)])
-        try:
-            model, _trace = learner.train_task(
-                model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
-                seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
-                lcfg=cfg.loss, tcfg=cfg.train,
-            )
-        except DivergenceError as exc:
-            # the store is updated after training, so it still holds the
-            # memory of the finished tasks
-            exc.partial = finished
-            raise
-        teacher = learner.snapshot_teacher(model)
+        with _ForkedCall(lambda: [tsne_descent(emb) for emb in pending],
+                         fork=bool(pending) and _fork_pays()) as descents:
+            try:
+                model, _trace = learner.train_task(
+                    model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
+                    seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
+                    lcfg=cfg.loss, tcfg=cfg.train,
+                )
+            except DivergenceError as exc:
+                # the store is updated after training, so it still holds the
+                # memory of the finished tasks
+                exc.partial = finished
+                raise
+            teacher = learner.snapshot_teacher(model)
+            for emb, (points, kl_trace) in zip(pending, descents.result()):
+                finish_tsne(emb, points, kl_trace)
 
         # memory update: re-select for classes present, shrink the rest
         quotas = allocate_quota(cfg.memory_budget, len(slot_to_class))
         for cls in list(store.train_indices):
             store.shrink_class(cls, quotas[slot_of[cls]])
-        for cls in labels_here:
+        for cls, emb in zip(labels_here, embeddings):
             class_rows = task_rows[task_labels == cls]
-            feats = as_features(ds.X_train[class_rows], np.float64)
-            emb = _reduce_class(cfg, feats)
             warnings += [f"class {cls}: {w}" for w in emb.warnings]
             quota = quotas[slot_of[cls]]
             picked = _select_exemplars(cfg, emb, quota, task.task_index, cls)

@@ -24,9 +24,11 @@ KL_EVERY = 50
 
 @dataclass
 class Embedding:
-    points: np.ndarray  # (N, d), row i embeds input row i
+    points: np.ndarray  # (N, d), row i embeds input row i; the start while pending
     warnings: list[str] = field(default_factory=list)
     kl_trace: list[float] | None = None
+    # a t-SNE descent not yet run: its joint affinities P and its settings
+    pending: tuple[np.ndarray, TsneConfig] | None = None
 
 
 @dataclass(frozen=True)
@@ -221,13 +223,17 @@ def kl_trace_steps(iterations: int, exaggeration_iters: int) -> list[int]:
     return sorted(steps)
 
 
-def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
+def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig(), descend: bool = True) -> Embedding:
     """Exact t-SNE of X to d dimensions, started from its PCA; falls back
     to PCA for tiny or degenerate inputs.
 
     kl_trace[t] is KL(P||Q) after step t at the steps kl_trace_steps names
     and NaN at the others: the value costs four of a step's N x N passes,
-    and only the end of exaggeration and the last step are read."""
+    and only the end of exaggeration and the last step are read.
+
+    With descend false only the set-up runs (checks, fallbacks, the PCA
+    start and the affinities) and a t-SNE result is pending: its points
+    are the start until finish_tsne(emb, *tsne_descent(emb)) completes it."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     cfg.validate()
@@ -248,8 +254,19 @@ def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
     Y = Y / Y[:, 0].std() * 1e-4
     perplexity = min(cfg.perplexity, (n - 1) / 3.0)
     perplexity = max(perplexity, 2.0)
-    P = joint_affinities(M, perplexity)
+    emb = Embedding(points=Y, pending=(joint_affinities(M, perplexity), cfg))
+    if descend:
+        finish_tsne(emb, *tsne_descent(emb))
+    return emb
 
+
+def tsne_descent(emb: Embedding) -> tuple[np.ndarray, list[float]]:
+    """The descent of a pending embedding from its start: the final points
+    and kl_trace, whose last entry stays NaN for finish_tsne.  It reads
+    emb and changes nothing, so it can run in another process."""
+    P, cfg = emb.pending
+    Y = emb.points
+    n = Y.shape[0]
     # one kernel call per step: call t+1 can also yield KL(P||Q) at the Y
     # that step t produced, so the trace needs a single call after the loop
     work = tuple(np.empty((n, n)) for _ in range(3))
@@ -266,10 +283,17 @@ def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig()) -> Embedding:
         velocity = mom * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-    trace[-1] = kl_divergence_and_grad(P, Y, work=work)[0]
     if not np.all(np.isfinite(Y)):
         raise DataError("t-SNE diverged to non-finite coordinates")
-    return Embedding(points=Y, kl_trace=trace)
+    return Y, trace
+
+
+def finish_tsne(emb: Embedding, points: np.ndarray, kl_trace: list[float]) -> None:
+    """Complete a pending embedding with the result of tsne_descent: the
+    last kl_trace entry, KL(P||Q) at the final points, is computed here."""
+    P = emb.pending[0]
+    kl_trace[-1] = kl_divergence_and_grad(P, points)[0]
+    emb.points, emb.kl_trace, emb.pending = points, kl_trace, None
 
 
 def _pad_dims(emb: Embedding, d: int) -> Embedding:

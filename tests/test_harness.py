@@ -3,8 +3,11 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cilbench import learner
+from cilbench import harness, learner
 from cilbench.cli import main as cli_main
 from cilbench.data import StreamSpec, make_blobs, make_stream, pack_cifar_record
-from cilbench.errors import ConfigurationError, DivergenceError
+from cilbench.errors import ConfigurationError, DataError, DivergenceError
 from cilbench.harness import (
     BlobsSpec,
     RunConfig,
@@ -33,8 +36,11 @@ from cilbench.harness import (
     run_experiment,
 )
 from cilbench.learner import MlpModel, TrainConfig, as_features, forward_batch, init_mlp
+from cilbench.reduce import TsneConfig
 from cilbench.sampler import ExemplarStore, SamplerParams, allocate_quota, random_sample
 from helpers import small_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestAverageAccuracy:
@@ -494,6 +500,19 @@ class TestCli:
             assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 3
             assert not out.exists()
 
+    def test_distance_overflow_exits_3_before_training(self, tmp_path, monkeypatch, capsys):
+        # rows with a common offset near 1e155 pass the centred PCA start but
+        # overflow the t-SNE distances, which are set up before task 0 trains
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        cfg = small_config(
+            out_dir=str(out), reducer="tsne", tsne=TsneConfig(iterations=20),
+            blobs=BlobsSpec(num_classes=4, per_class=40, dim=2, spread=1e151, center_box=1e155),
+        )
+        assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 3
+        assert "the t-SNE squared distances overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_test_split_without_first_task_classes_exits_before_training(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -579,6 +598,145 @@ class TestCli:
         assert cli_main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Under a multi-threaded BLAS the fork predicate is false; these tests force
+# it, and Python >= 3.12 warns on a fork of a process with threads
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+class TestForkedDescent:
+    """A task's t-SNE descents run in a forked child while it trains, with
+    the results of descents run in this process."""
+
+    @staticmethod
+    def tsne_config(**overrides):
+        return small_config(reducer="tsne", tsne=TsneConfig(iterations=60), **overrides)
+
+    @staticmethod
+    def run(monkeypatch, cfg, out_dir, fork, dataset=None):
+        """run_experiment and emit_results with the fork predicate forced;
+        returns the result, the embeddings tsne_reduce returned and the
+        number of forks."""
+        embeddings, forks = [], []
+        tsne_reduce, real_fork = harness.tsne_reduce, os.fork
+
+        def recording(*args, **kwargs):
+            embeddings.append(tsne_reduce(*args, **kwargs))
+            return embeddings[-1]
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_fork_pays", lambda: fork)
+            m.setattr(harness, "tsne_reduce", recording)
+            m.setattr(os, "fork", counting_fork)
+            result = run_experiment(cfg, dataset)
+        emit_results(result, cfg, str(out_dir))
+        return result, embeddings, len(forks)
+
+    @staticmethod
+    def files(out_dir):
+        masked = [line.rsplit(",", 1)[0]
+                  for line in (out_dir / "metrics.csv").read_text().splitlines()]
+        return (out_dir / "exemplars.json").read_bytes(), masked
+
+    def test_forked_equals_in_process(self, tmp_path, monkeypatch):
+        cfg = self.tsne_config()
+        _, here, here_forks = self.run(monkeypatch, cfg, tmp_path / "here", fork=False)
+        _, child, child_forks = self.run(monkeypatch, cfg, tmp_path / "child", fork=True)
+        _no_child_left()
+        assert (here_forks, child_forks) == (0, 2)  # one child per task
+        assert self.files(tmp_path / "here") == self.files(tmp_path / "child")
+        assert len(here) == len(child) == 4
+        for a, b in zip(here, child):
+            assert a.pending is None and b.pending is None
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.kl_trace, b.kl_trace, equal_nan=True)
+
+    def test_small_class_keeps_fallback_warning(self, tmp_path, monkeypatch):
+        cfg = self.tsne_config()
+        ds = load_dataset(cfg)
+        # class 1, in task 0 with class 0 or in task 1, keeps 3 training rows
+        keep = (ds.y_train != 1) | (np.cumsum(ds.y_train == 1) <= 3)
+        ds = dataclasses.replace(ds, X_train=ds.X_train[keep], y_train=ds.y_train[keep])
+        runs = [self.run(monkeypatch, cfg, tmp_path / str(fork), fork, ds)
+                for fork in (False, True)]
+        _no_child_left()
+        assert runs[1][2] == 2
+        for result, embeddings, _ in runs:
+            warned = [w for r in result.records for w in r.warnings]
+            assert warned == ["class 1: N=3 < 4: fell back to PCA"]
+            assert sum(emb.kl_trace is None for emb in embeddings) == 1
+        assert self.files(tmp_path / "False") == self.files(tmp_path / "True")
+
+    write_config = TestCli.write_config
+
+    def test_divergence_in_task_1_kills_the_child_and_keeps_task_0(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        path = self.write_config(tmp_path, self.tsne_config(out_dir=str(out)))
+        train_task, calls = learner.train_task, []
+
+        def diverge_in_task_1(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DivergenceError(3)
+            return train_task(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "train_task", diverge_in_task_1)
+        monkeypatch.setattr(harness, "_fork_pays", lambda: True)
+        assert cli_main(["run", "--config", path]) == 4
+        _no_child_left()
+        assert capsys.readouterr().err == "training diverged: non-finite loss at epoch 3\n"
+        assert len((out / "metrics.csv").read_text().splitlines()) == 2
+        assert len(json.loads((out / "exemplars.json").read_text())["classes"]) == 2
+
+    def test_data_error_in_the_child_exits_3(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        path = self.write_config(tmp_path, self.tsne_config(out_dir=str(out)))
+        parent = os.getpid()
+
+        def diverge(emb):
+            assert os.getpid() != parent  # raised in the child, re-raised here
+            raise DataError("t-SNE diverged to non-finite coordinates")
+
+        monkeypatch.setattr(harness, "tsne_descent", diverge)
+        monkeypatch.setattr(harness, "_fork_pays", lambda: True)
+        assert cli_main(["run", "--config", path]) == 3
+        _no_child_left()
+        assert capsys.readouterr().err == "data error: t-SNE diverged to non-finite coordinates\n"
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="the descents fork only with two usable cores")
+    def test_single_thread_blas_process_forks(self, tmp_path, monkeypatch):
+        # with one BLAS thread the process has one thread, so the real
+        # predicate forks; its files equal those of descents run in process
+        cfg = self.tsne_config(out_dir=str(tmp_path / "child"))
+        script = (
+            "import os, sys\n"
+            "from cilbench import cli\n"
+            "forks, real_fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or real_fork()\n"
+            "code = cli.main(['run', '--config', sys.argv[1]])\n"
+            "sys.exit(code or (len(forks) != 2))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, self.write_config(tmp_path, cfg)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        self.run(monkeypatch, cfg, tmp_path / "here", fork=False)
+        assert self.files(tmp_path / "here") == self.files(tmp_path / "child")
 
 
 # ---------------------------------------------------------------------------

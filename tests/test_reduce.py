@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,14 +7,17 @@ import pytest
 
 import oracles
 from cilbench.errors import ConfigurationError, DataError
+from cilbench.harness import _ForkedCall
 from cilbench.reduce import (
     TsneConfig,
     conditional_affinities,
+    finish_tsne,
     joint_affinities,
     kl_divergence_and_grad,
     kl_trace_steps,
     pairwise_sq_dists,
     pca_reduce,
+    tsne_descent,
     tsne_reduce,
 )
 
@@ -308,6 +312,43 @@ def random_affinities(n, seed):
     P = rng.random((n, n))
     P = np.maximum((P + P.T) / (2.0 * (P + P.T).sum()), 1e-12)
     return P, rng.normal(size=(n, 2))
+
+
+
+class TestPendingDescent:
+    """tsne_reduce(descend=False) stops after the set-up; tsne_descent and
+    finish_tsne then give the embedding of one tsne_reduce call."""
+
+    def test_set_up_then_descent_equals_one_call(self):
+        X, _ = three_clusters(n_per=10, dim=4)
+        cfg = TsneConfig(iterations=120)
+        emb = tsne_reduce(X, 2, cfg, descend=False)
+        P, Y0 = tsne_start(X, 2, cfg)
+        assert np.array_equal(emb.pending[0], P) and emb.pending[1] == cfg
+        assert np.array_equal(emb.points, Y0) and emb.kl_trace is None
+        finish_tsne(emb, *tsne_descent(emb))
+        whole = tsne_reduce(X, 2, cfg)
+        assert emb.pending is None and whole.pending is None
+        assert np.array_equal(emb.points, whole.points)
+        assert np.array_equal(emb.kl_trace, whole.kl_trace, equal_nan=True)
+
+    @pytest.mark.parametrize("X", [np.ones((10, 3)), np.eye(3)], ids=["duplicates", "n3"])
+    def test_fallbacks_are_never_pending(self, X):
+        emb = tsne_reduce(X, 2, descend=False)
+        assert emb.pending is None and emb.warnings
+
+    # Python >= 3.12 warns on a fork of a process with threads (the BLAS's)
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_descent_in_a_forked_child_is_bit_identical(self):
+        X, _ = three_clusters(n_per=10, dim=4, seed=2)
+        emb = tsne_reduce(X, 2, TsneConfig(iterations=120), descend=False)
+        with _ForkedCall(lambda: tsne_descent(emb), fork=True) as call:
+            points, trace = call.result()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        here_points, here_trace = tsne_descent(emb)
+        assert np.array_equal(points, here_points)
+        assert np.array_equal(trace, here_trace, equal_nan=True)
 
 
 class TestFusedDescent:
