@@ -120,8 +120,11 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
     """
     if split not in ("train", "test"):
         raise ConfigurationError(f"split must be 'train' or 'test', got {split!r}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from exc
     if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
         raise DataError(
             f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}"

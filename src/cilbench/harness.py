@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import learner, sampler
+from . import data, learner, sampler
 from .data import (
     BlobsSpec, Dataset, StreamSpec, TaskBatch, load_cifar100, make_blobs, make_stream,
 )
@@ -47,20 +47,20 @@ _EVAL_ROWS = TrainConfig.batch_size
 
 @dataclass(frozen=True)
 class RunConfig:
-    dataset: str = "blobs"  # "blobs" or "cifar100"
+    dataset: typing.Literal["blobs", "cifar100"] = "blobs"
     blobs: BlobsSpec = BlobsSpec()
     cifar_train_path: str | None = None
     cifar_test_path: str | None = None
     stream: StreamSpec = StreamSpec(mode="disjoint", classes_per_task=2)
-    sampler_kind: str = "diverse"  # diverse | random; Gonzalez is diverse with n=0
+    sampler_kind: typing.Literal["diverse", "random"] = "diverse"  # Gonzalez: diverse, n=0
     sampler_params: SamplerParams = SamplerParams(m=1)  # m is set per class quota
-    reducer: str = "tsne"  # tsne | pca | none
+    reducer: typing.Literal["tsne", "pca", "none"] = "tsne"
     reduce_dim: int = 2
     tsne: TsneConfig = TsneConfig()
     loss: LossConfig = LossConfig()
     train: TrainConfig = TrainConfig()
     memory_budget: int = 1000
-    classifier: str = "softmax_head"  # softmax_head | nme
+    classifier: typing.Literal["softmax_head", "nme"] = "softmax_head"
     hidden_sizes: tuple[int, ...] = (128, 64)
     out_dir: str = "results"
     seed: int = 0
@@ -69,18 +69,10 @@ class RunConfig:
         """Check every field, nested specs included, before any data is
         touched; a value of the wrong type is a ConfigurationError too."""
         _check_types(self)
-        if self.dataset not in ("blobs", "cifar100"):
-            raise ConfigurationError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar100" and not (self.cifar_train_path and self.cifar_test_path):
             raise ConfigurationError(
                 "cifar100 dataset requires cifar_train_path and cifar_test_path"
             )
-        if self.sampler_kind not in ("diverse", "random"):
-            raise ConfigurationError(f"unknown sampler {self.sampler_kind!r}")
-        if self.reducer not in ("tsne", "pca", "none"):
-            raise ConfigurationError(f"unknown reducer {self.reducer!r}")
-        if self.classifier not in ("softmax_head", "nme"):
-            raise ConfigurationError(f"unknown classifier {self.classifier!r}")
         if self.memory_budget < 1:
             raise ConfigurationError("memory_budget must be >= 1")
         if self.seed < 0:
@@ -89,22 +81,17 @@ class RunConfig:
             raise ConfigurationError("reduce_dim must be >= 1")
         if any(h < 1 for h in self.hidden_sizes):
             raise ConfigurationError("hidden_sizes must all be >= 1")
-        input_dim = self.blobs.dim if self.dataset == "blobs" else 3072
+        input_dim = self.blobs.dim if self.dataset == "blobs" else data.CIFAR_PIXELS
         if self.reducer == "none" and input_dim > 3:
             raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
-        if self.dataset == "blobs":
-            self.blobs.validate()
-        self.stream.validate()
-        self.sampler_params.validate()
-        self.tsne.validate()
-        self.loss.validate()
-        self.train.validate()
 
 
 def _has_type(value, kind) -> bool:
     """isinstance for the annotations config fields use.  JSON has one
     number type, so an integer passes as a float; a bool is no number, and
-    a float must be finite."""
+    a float must be finite.  A Literal takes only the values it lists."""
+    if typing.get_origin(kind) is typing.Literal:
+        return value in typing.get_args(kind)
     if typing.get_origin(kind) in (typing.Union, types.UnionType):
         return any(_has_type(value, k) for k in typing.get_args(kind))
     if typing.get_origin(kind) is tuple:
@@ -124,7 +111,8 @@ def _has_type(value, kind) -> bool:
 
 def _check_types(spec, where: str = "") -> None:
     """Raise ConfigurationError unless every field of the config dataclass
-    spec, and of each spec nested in it, holds a value of its annotated type."""
+    spec, and of each spec nested in it, holds a value of its annotated
+    type; each nested spec's own validate() then checks its values."""
     for name, kind in typing.get_type_hints(type(spec)).items():
         value = getattr(spec, name)
         if not _has_type(value, kind):
@@ -132,6 +120,7 @@ def _check_types(spec, where: str = "") -> None:
             raise ConfigurationError(f"{where}{name} must be {expected}, got {value!r}")
         if dataclasses.is_dataclass(value):
             _check_types(value, f"{where}{name}.")
+            value.validate()
 
 
 @dataclass
@@ -225,13 +214,13 @@ class _ForkedCall:
     def result(self):
         if self.pid is None:
             return self.fn()
-        data = self.pipe.read()  # to EOF before waiting: the pipe buffer is finite
+        payload = self.pipe.read()  # to EOF before waiting: the pipe buffer is finite
         self.pipe.close()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         if status != 0:
             raise RuntimeError(f"forked child failed with wait status {status}")
-        ok, value = pickle.loads(data)
+        ok, value = pickle.loads(payload)
         if not ok:
             raise value
         return value
@@ -459,47 +448,44 @@ def outlier_benchmark_config(
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["stream"]["class_order"] = (
-        list(cfg.stream.class_order) if cfg.stream.class_order else None
-    )
-    d["hidden_sizes"] = list(cfg.hidden_sizes)
-    return d
+    """cfg as plain data for json, which writes its tuples as lists."""
+    return dataclasses.asdict(cfg)
 
 
-_SPECS = {
-    "blobs": BlobsSpec, "stream": StreamSpec, "sampler_params": SamplerParams,
-    "tsne": TsneConfig, "loss": LossConfig, "train": TrainConfig,
-}
-
-
-def _lists_to_tuples(d: dict, *keys: str) -> dict:
-    return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in d.items()}
+def _from_json(kind, value):
+    """The value parsed JSON gives for a field annotated kind: an object for
+    a config dataclass becomes that spec, and a list becomes a tuple.
+    Anything else is returned as is, for RunConfig.validate to judge."""
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, dict) and dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return kind(**{k: _from_json(hints.get(k), v) for k, v in value.items()})
+    return value
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """RunConfig from parsed JSON: nested specs must be objects, and the
-    tuple fields are JSON lists.  Types are checked by RunConfig.validate."""
+    """RunConfig from parsed JSON (see _from_json); an unknown or missing
+    field is a ConfigurationError.  Types are checked by RunConfig.validate."""
     if not isinstance(d, dict):
         raise ConfigurationError("bad config: not a JSON object")
-    d = _lists_to_tuples(d, "hidden_sizes")
     try:
-        for key, spec in _SPECS.items():
-            if key in d:
-                if not isinstance(d[key], dict):
-                    raise ConfigurationError(f"bad config: {key} must be a JSON object")
-                d[key] = spec(**_lists_to_tuples(d[key], "outlier_reach", "class_order"))
-        return RunConfig(**d)
+        return _from_json(RunConfig, d)
     except TypeError as exc:
         raise ConfigurationError(f"bad config: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        try:
-            return config_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    """RunConfig from a JSON file; a file that cannot be read, or does not
+    hold UTF-8 JSON, is a ConfigurationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    return config_from_dict(d)
 
 
 def emit_results(result: RunResult, cfg: RunConfig, out_dir: str) -> None:

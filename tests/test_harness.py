@@ -351,8 +351,23 @@ class TestResultFiles:
         assert (tmp_path / "ablation.csv").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ablation.csv"]
 
-    def test_config_round_trip(self):
-        cfg = small_config(classifier="nme", reducer="pca")
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_config(classifier="nme", reducer="pca"),
+            # every tuple field and every nullable field set
+            small_config(
+                dataset="cifar100", reducer="pca", hidden_sizes=(),
+                cifar_train_path="train.bin", cifar_test_path="test.bin",
+                blobs=BlobsSpec(num_classes=4, center_box=12.5, outlier_reach=(15.0, 30.0)),
+                stream=StreamSpec(mode="fuzzy", classes_per_task=2, fuzz_percent=20,
+                                  class_order=(3, 1, 0, 2)),
+            ),
+        ],
+        ids=["defaults", "all-set"],
+    )
+    def test_config_round_trip(self, cfg):
+        cfg.validate()
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
@@ -414,13 +429,18 @@ class TestCli:
             {"blobs": {"num_classes": 1}},
             # the evaluation pool of a CIFAR run comes from its test file
             {"dataset": "cifar100", "cifar_train_path": "train.bin", "reducer": "pca"},
+            # a spec is checked whether or not the dataset uses it
+            {"dataset": "cifar100", "cifar_train_path": "train.bin",
+             "cifar_test_path": "test.bin", "reducer": "pca", "blobs": {"spread": -1.0}},
+            {"reducer": "umap"},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
              "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
              "tsne-negative-lr", "tsne-momentum-above-one", "stream-seed", "train-seed",
              "tsne-seed", "tsne-target-dim", "tsne-init", "fuzzy-zero-fuzz",
-             "sampler-gonzalez", "blobs-one-class", "cifar-without-test-path"],
+             "sampler-gonzalez", "blobs-one-class", "cifar-without-test-path",
+             "cifar-negative-blobs-spread", "reducer-umap"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
@@ -429,6 +449,34 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg_dict))
         assert cli_main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, "dir", b"\xff\xfe", b"[" * 100_000],
+                             ids=["missing", "directory", "not-utf8", "nested-too-deep"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content == "dir":
+            path.mkdir()
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "ablate-n"])
+    def test_missing_cifar_file_exits_3_before_training(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        missing = tmp_path / "train.bin"
+        cfg = small_config(
+            dataset="cifar100", reducer="pca", out_dir=str(out),
+            cifar_train_path=str(missing), cifar_test_path=str(missing),
+        )
+        assert cli_main([command, "--config", self.write_config(tmp_path, cfg)]) == 3
+        assert capsys.readouterr().err == f"data error: {missing}: No such file or directory\n"
         assert not out.exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
