@@ -6,7 +6,8 @@ Subcommands:
   verify    -- run the built-in property/oracle battery
 
 Exit codes: 0 success; 1 a verify check failed; 2 usage or configuration
-error, a config file that cannot be read or is not UTF-8 JSON included;
+error, a config file that cannot be read or is not UTF-8 JSON and an
+output directory that cannot be created (before any training) included;
 3 data error, a data file that cannot be read included; 4 training
 diverged (the loss went non-finite; the result files hold the tasks
 finished before the divergence, and none are written if the first task

@@ -11,6 +11,7 @@ and may run concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import numbers
@@ -341,11 +342,21 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                 model, len(new_classes), _module_seed(cfg.seed, _SEED_MODEL, task.task_index)
             )
 
-        # an embedding depends on its class's rows only, so it is set up
-        # (bad rows fail) before training; the feature rows are freed here
+        # a class present here is re-selected from its rows in this task, in
+        # stream order, then the stored rows it keeps through this task's
+        # shrink; so 1-3 stray rows of an old class in a fuzzy task do not
+        # replace its quota, and a new class's pool is its task rows
+        quotas = allocate_quota(cfg.memory_budget, len(slot_to_class))
+        pools = []
+        for cls in labels_here:
+            rows_c = task_rows[task_labels == cls]
+            kept = np.asarray(store.train_indices.get(cls, [])[: quotas[slot_of[cls]]],
+                              dtype=np.int64)
+            pools.append(np.concatenate([rows_c, kept[~np.isin(kept, rows_c)]]))
+        # an embedding depends on its pool's rows only, so it is set up (bad
+        # rows fail) before training; the feature rows are freed here
         embeddings = [
-            _reduce_class(cfg, as_features(ds.X_train[task_rows[task_labels == cls]], np.float64))
-            for cls in labels_here
+            _reduce_class(cfg, as_features(ds.X_train[pool], np.float64)) for pool in pools
         ]
         pending = [emb for emb in embeddings if emb.pending is not None]
         stored = [i for c in sorted(store.train_indices) for i in store.train_indices[c]]
@@ -367,16 +378,14 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             for emb, (points, kl_trace) in zip(pending, descents.result()):
                 finish_tsne(emb, points, kl_trace)
 
-        # memory update: re-select for classes present, shrink the rest
-        quotas = allocate_quota(cfg.memory_budget, len(slot_to_class))
+        # memory update: shrink every class, then re-select the classes
+        # present from their pools; training rehearsed the unshrunk memory
         for cls in list(store.train_indices):
             store.shrink_class(cls, quotas[slot_of[cls]])
-        for cls, emb in zip(labels_here, embeddings):
-            class_rows = task_rows[task_labels == cls]
+        for cls, pool, emb in zip(labels_here, pools, embeddings):
             warnings += [f"class {cls}: {w}" for w in emb.warnings]
-            quota = quotas[slot_of[cls]]
-            picked = _select_exemplars(cfg, emb, quota, task.task_index, cls)
-            store.set_class(cls, class_rows[picked], ds.y_train)
+            picked = _select_exemplars(cfg, emb, quotas[slot_of[cls]], task.task_index, cls)
+            store.set_class(cls, pool[picked], ds.y_train)
 
         seen = np.isin(ds.y_test, slot_to_class)
         class_means = None
@@ -514,6 +523,35 @@ def emit_results(result: RunResult, cfg: RunConfig, out_dir: str) -> None:
     _write_files(out_dir, files)
 
 
+@contextlib.contextmanager
+def _output_dir(out_dir: str):
+    """Create out_dir and its missing parents before the body runs, so a
+    directory that cannot be created is a ConfigurationError before any
+    training.  If the body raises, the directories made here are removed
+    again, deepest first, while they are empty: a run that fails before
+    it writes a file leaves nothing behind."""
+    made = []
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    try:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create output directory {out_dir}: {exc.strerror}"
+            ) from exc
+        yield
+    except BaseException:
+        for path in made:  # deepest first; one that holds a file stays
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
 def _write_files(out_dir: str, files: dict[str, str]) -> None:
     """Write each text to <name>.tmp in out_dir and rename it into place,
     so a failed write or rename leaves no partial file and the earlier
@@ -532,17 +570,20 @@ def _write_files(out_dir: str, files: dict[str, str]) -> None:
 
 
 def run_and_emit(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Run the experiment and write its result files.  A run that diverges
+    """Run the experiment and write its result files into out_dir, which
+    is created before any training (see _output_dir).  A run that diverges
     after its first task writes the files of the tasks it finished, then
     re-raises the DivergenceError."""
+    cfg.validate()  # cfg.out_dir is a string from here on
     out_dir = out_dir or cfg.out_dir
-    try:
-        result = run_experiment(cfg)
-    except DivergenceError as exc:
-        if exc.partial is not None:
-            emit_results(exc.partial, cfg, out_dir)
-        raise
-    emit_results(result, cfg, out_dir)
+    with _output_dir(out_dir):
+        try:
+            result = run_experiment(cfg)
+        except DivergenceError as exc:
+            if exc.partial is not None:
+                emit_results(exc.partial, cfg, out_dir)
+            raise
+        emit_results(result, cfg, out_dir)
     return result
 
 
@@ -550,8 +591,8 @@ def ablate_n(
     cfg: RunConfig, values: list[int], seeds: list[int], out_dir: str
 ) -> dict[tuple[int, int], float]:
     """Run the neighbor-count ablation over shared seeds; one combined CSV.
-    Every run's config, and every seed's data and stream, is checked before
-    the first run trains."""
+    Every run's config, and every seed's data and stream, is checked, and
+    out_dir created, before the first run trains."""
     runs = [
         (n, seed, dataclasses.replace(
             cfg,
@@ -571,9 +612,10 @@ def ablate_n(
         _checked_stream(seed_cfg, load_dataset(seed_cfg))
     rows = ["n,seed,avg_accuracy"]
     out: dict[tuple[int, int], float] = {}
-    for n, seed, run_cfg in runs:
-        aa = run_experiment(run_cfg).records[-1].avg_accuracy
-        out[(n, seed)] = aa
-        rows.append(f"{n},{seed},{aa!r}")
-    _write_files(out_dir, {"ablation.csv": "\n".join(rows) + "\n"})
+    with _output_dir(out_dir):
+        for n, seed, run_cfg in runs:
+            aa = run_experiment(run_cfg).records[-1].avg_accuracy
+            out[(n, seed)] = aa
+            rows.append(f"{n},{seed},{aa!r}")
+        _write_files(out_dir, {"ablation.csv": "\n".join(rows) + "\n"})
     return out

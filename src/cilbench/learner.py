@@ -114,18 +114,22 @@ def grow_head(model: MlpModel, q_new: int, seed: int) -> MlpModel:
 def as_features(X: np.ndarray, dtype=np.float32) -> np.ndarray:
     """Feature rows as floats.  Pixel bytes (uint8) become byte / 255,
     computed in float32 and written into an array of dtype; float rows
-    pass through, widened only where dtype is wider."""
+    pass through, widened only where dtype is wider.  With the default
+    dtype this is the dtype the learner computes in: float32 for pixel
+    bytes and float32 rows, the rows' own dtype for float64 rows."""
     if X.dtype != np.uint8:
         return X.astype(np.promote_types(X.dtype, dtype), copy=False)
     return np.divide(X, np.float32(255), out=np.empty(X.shape, dtype), dtype=np.float32)
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Returns (logits, activations); activations[k] is the input to layer k."""
+    """Returns (logits, activations); activations[k] is the input to layer k.
+    The forward computes in the model's dtype (its first layer's): X is
+    cast to it, so a float32 model takes float32 steps whatever X holds."""
     X = np.asarray(X)
     if X.dtype == np.uint8:
         raise DataError("forward_batch got pixel bytes (uint8); scale them with as_features")
-    X = X.astype(np.float64, copy=False)
+    X = X.astype(model.weights[0].dtype, copy=False)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"input shape {X.shape} != (rows, {model.input_dim})")
     acts = [X]
@@ -184,7 +188,8 @@ def forward_chunked(
     row.  X goes through forward_batch min(rows, len(X)) rows at a time,
     each chunk scaled with as_features and freed before the next is made,
     so no float copy of X is larger than one chunk; per_chunk keeps what
-    its caller needs of a chunk and nothing else.
+    its caller needs of a chunk and nothing else.  Each forward computes
+    in the model's dtype (see forward_batch).
 
     BLAS picks its kernel from the matrix shapes (one row goes through a
     matrix-vector kernel, small products through a small-matrix one), and
@@ -197,7 +202,7 @@ def forward_chunked(
     out = None
     for start in range(0, len(X), rows):
         lo = max(0, min(start, len(X) - rows))
-        logits, acts = forward_batch(model, as_features(X[lo : lo + rows], np.float64))
+        logits, acts = forward_batch(model, as_features(X[lo : lo + rows]))
         part = per_chunk(logits, acts[-1])
         if out is None:
             out = np.empty((len(X), *part.shape[1:]), part.dtype)
@@ -292,7 +297,12 @@ def train_task(
     """Mini-batch gradient descent with momentum on rows X with head-slot
     labels y; returns the trained model and the per-epoch mean loss trace.
     Deterministic given seed, which orders the mini-batches.  X may be
-    pixel bytes: each mini-batch is scaled with as_features once gathered."""
+    pixel bytes: each mini-batch is scaled with as_features once gathered.
+
+    Training computes in the features' dtype, as_features(X)'s: float32
+    for pixel bytes and float32 rows, float64 for float64 rows.  The
+    model's and the teacher targets' values are cast to it on entry, and
+    the returned model's arrays are of that dtype."""
     lcfg.validate()
     tcfg.validate()
     y = np.asarray(y)
@@ -311,9 +321,10 @@ def train_task(
     # input's; momentum and gradients live in buffers of the same layout,
     # so one step is four whole-buffer operations.  The step lr * vel goes
     # into the gradient buffer, which the next backprop overwrites in full.
+    dtype = as_features(X[:0]).dtype
     flat = np.concatenate(
         [a.ravel() for W, b in zip(model.weights, model.biases) for a in (W, b)],
-        dtype=np.float64,
+        dtype=dtype,
     )
     params = _layer_views(flat, model)
     model = MlpModel(weights=[w for w, _ in params], biases=[b for _, b in params])
@@ -324,7 +335,9 @@ def train_task(
     # the teacher's targets for a full batch come from one pass per task; a
     # short last batch gets a forward of its own shape (see teacher_targets)
     full = min(tcfg.batch_size, len(y))
-    p_t = None if teacher is None else teacher_targets(teacher, X, lcfg.temperature, full)
+    p_t = None
+    if teacher is not None:
+        p_t = teacher_targets(teacher, X, lcfg.temperature, full).astype(dtype, copy=False)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     for epoch in range(tcfg.epochs):
@@ -332,13 +345,14 @@ def train_task(
         losses = []
         for start in range(0, len(y), tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
-            xb = as_features(X[batch], np.float64)
+            xb = as_features(X[batch])
             if p_t is None:
                 targets = None
             elif len(batch) == full:
                 targets = p_t[batch]
             else:
                 targets = teacher_targets(teacher, xb, lcfg.temperature, len(batch))
+                targets = targets.astype(dtype, copy=False)
             loss, _ = _loss_and_grads(model, xb, y[batch], targets, lcfg, grads)
             losses.append(loss * len(batch))
             vel *= tcfg.momentum

@@ -136,8 +136,9 @@ def tsne_descent(
 
 
 def _mlp_forward(weights, biases, X) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits of a ReLU MLP with a linear head, and the input of each layer."""
-    h = np.asarray(X, dtype=np.float64)
+    """Logits of a ReLU MLP with a linear head, and the input of each layer,
+    computed in the dtype of the first layer's weights."""
+    h = np.asarray(X, dtype=np.asarray(weights[0]).dtype)
     acts = [h]
     for k, (W, b) in enumerate(zip(weights, biases)):
         h = h @ W + b
@@ -164,9 +165,12 @@ def train_task_reference(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[float]]:
     """Mini-batch momentum descent on beta * kd + (1 - beta) * ce (ce alone
     without a teacher), one teacher forward per mini-batch; teacher is a
-    (weights, biases) pair.  Returns the weights, biases and per-epoch loss."""
-    weights = [np.array(W, dtype=np.float64) for W in weights]
-    biases = [np.array(b, dtype=np.float64) for b in biases]
+    (weights, biases) pair.  Computes in X's dtype widened to at least
+    float32, with the teacher's targets cast to it.  Returns the weights,
+    biases and per-epoch loss."""
+    dtype = np.promote_types(X.dtype, np.float32)
+    weights = [np.array(W, dtype=dtype) for W in weights]
+    biases = [np.array(b, dtype=dtype) for b in biases]
     vel = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(weights, biases)]
     rng = np.random.default_rng(seed)
     trace: list[float] = []
@@ -189,7 +193,7 @@ def train_task_reference(
             else:
                 t_logits, _ = _mlp_forward(*teacher, Xb)
                 ell = t_logits.shape[1]
-                p_t = softmax(t_logits / temperature)
+                p_t = softmax(t_logits / temperature).astype(dtype)
                 p_s = softmax(logits[:, :ell] / temperature)
                 kd = -np.sum(p_t * np.log(np.maximum(p_s, _PROB_FLOOR)), axis=1)
                 loss = float((beta * kd + (1.0 - beta) * ce).mean())

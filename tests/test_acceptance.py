@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import dataclasses
 import json
 import statistics
 import time
@@ -27,6 +28,7 @@ from cilbench.errors import DataError
 from cilbench.harness import (
     RunConfig,
     config_to_dict,
+    load_dataset,
     outlier_benchmark_config,
     run_and_emit,
     run_experiment,
@@ -55,6 +57,34 @@ def report(criterion, ok, t0, extra=""):
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {criterion:28s} {status}  ({elapsed:.1f}s) {extra}")
     assert ok, criterion
+
+
+FUZZY_RUNS = [(kind, n, seed) for seed in range(5)
+              for kind, n in (("diverse", 5), ("diverse", 0), ("random", 0))]
+
+
+@pytest.fixture(scope="module")
+def fuzzy_benchmark():
+    """The scaled benchmark on a fuzzy stream (10% of each task's rows from
+    other tasks' classes): per (kind, n, seed), the final avg accuracy,
+    the stored row count, and the planted outliers among the stored rows."""
+    out = {}
+    for kind, n, seed in FUZZY_RUNS:
+        cfg = dataclasses.replace(outlier_benchmark_config(kind, n, seed),
+                                  stream=StreamSpec("fuzzy", 2, 10))
+        ds = load_dataset(cfg)
+        result = run_experiment(cfg, ds)
+        # planted outliers lie at least 10 spreads from their class centre,
+        # inliers (2-D normal) within 5 spreads but for a 4e-6 tail
+        far = np.zeros(len(ds.y_train), dtype=bool)
+        for c in range(ds.num_classes):
+            rows = ds.y_train == c
+            centre = np.median(ds.X_train[rows], axis=0)
+            far[rows] = np.linalg.norm(ds.X_train[rows] - centre, axis=1) > 5 * cfg.blobs.spread
+        stored = [i for idx in result.store.train_indices.values() for i in idx]
+        out[(kind, n, seed)] = (result.records[-1].avg_accuracy,
+                                result.records[-1].exemplar_count, int(far[stored].sum()))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +334,28 @@ def test_12_cifar_ingestion(tmp_path):
     ok &= cli_main(["run", "--config", str(config_path)]) == 0
     ok &= len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 1 + 5
     report("12 CIFAR ingestion + smoke", ok, t0)
+
+
+def test_13_fuzzy_memory_keeps_its_budget(fuzzy_benchmark):
+    t0 = time.perf_counter()
+    counts = {fuzzy_benchmark[run][1] for run in FUZZY_RUNS}
+    report("13 fuzzy memory = budget", counts == {100}, t0, extra=f"stored={sorted(counts)}")
+
+
+def test_14_fuzzy_outlier_share(fuzzy_benchmark):
+    t0 = time.perf_counter()
+    share = {}
+    for kind, n in (("diverse", 5), ("diverse", 0), ("random", 0)):
+        runs = [fuzzy_benchmark[(kind, n, s)] for s in range(5)]
+        share[(kind, n)] = sum(r[2] for r in runs) / sum(r[1] for r in runs)
+    dss, n0, rnd = share[("diverse", 5)], share[("diverse", 0)], share[("random", 0)]
+    report("14 fuzzy outlier share", dss < n0 and dss < rnd, t0,
+           extra=f"n=5 {dss:.3f} n=0 {n0:.3f} random {rnd:.3f}")
+
+
+def test_15_fuzzy_diverse_vs_random(fuzzy_benchmark):
+    t0 = time.perf_counter()
+    dss = statistics.mean(fuzzy_benchmark[("diverse", 5, s)][0] for s in range(5))
+    rnd = statistics.mean(fuzzy_benchmark[("random", 0, s)][0] for s in range(5))
+    report("15 fuzzy diverse > random (mean)", dss > rnd, t0,
+           extra=f"mean(n=5)={dss:.3f} mean(random)={rnd:.3f}")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cilbench import harness, learner
 from cilbench.cli import main as cli_main
-from cilbench.data import StreamSpec, make_blobs, make_stream, pack_cifar_record
+from cilbench.data import StreamSpec, TaskBatch, make_blobs, make_stream, pack_cifar_record
 from cilbench.errors import ConfigurationError, DataError, DivergenceError
 from cilbench.harness import (
     BlobsSpec,
@@ -229,6 +229,26 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert len(result.records) == 2
 
+    @pytest.mark.parametrize("kind", ["diverse", "random"])
+    def test_old_class_reappearing_with_one_row_keeps_its_quota(self, monkeypatch, kind):
+        """A class that comes back with a single stray row is re-selected from
+        that row and the exemplars it keeps, not from the row alone."""
+        cfg = small_config(sampler_kind=kind)  # 4 classes of 32 train rows, budget 20
+        ds = load_dataset(cfg)
+        rows = [np.flatnonzero(ds.y_train == c) for c in range(4)]
+        stray = rows[0][-1:]
+        tasks = [
+            TaskBatch(0, {0, 1}, np.concatenate([rows[0][:-1], rows[1]])),
+            TaskBatch(1, {2, 3}, np.concatenate([rows[2], stray, rows[3]])),
+        ]
+        monkeypatch.setattr(harness, "make_stream", lambda *args: tasks)
+        result = run_experiment(cfg, ds)
+        held = [len(result.store.train_indices[c]) for c in result.class_order_seen]
+        assert result.class_order_seen == [0, 1, 2, 3]
+        assert held == allocate_quota(cfg.memory_budget, 4) == [5, 5, 5, 5]
+        assert [r.exemplar_count for r in result.records] == [20, 20]
+        assert set(result.store.train_indices[0]) <= set(rows[0].tolist())
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment(small_config(sampler_kind="bogus"))
@@ -283,6 +303,42 @@ class TestPixelBytes:
                         old_run.model.weights + old_run.model.biases):
             assert np.array_equal(a, b)
         assert new_run.store.to_json() == old_run.store.to_json()
+
+    @pytest.mark.parametrize("dataset,want", [("cifar100", np.float32), ("blobs", np.float64)])
+    def test_every_forward_computes_in_the_features_dtype(
+        self, cifar_pair, monkeypatch, dataset, want
+    ):
+        """Training, the teacher targets and NME evaluation of a pixel run run
+        in float32; a blobs run keeps float64."""
+        cfg = small_config(
+            dataset=dataset, cifar_train_path=str(cifar_pair / "train.bin"),
+            cifar_test_path=str(cifar_pair / "test.bin"), classifier="nme", reducer="pca",
+            hidden_sizes=(16,),
+        )
+        calls = {"train": [], "teacher": [], "evaluate": []}
+        stage = ["train"]
+        forward = learner.forward_batch
+
+        def recording(model, X):
+            calls[stage[-1]].append((X.dtype, *(a.dtype for a in model.weights + model.biases)))
+            return forward(model, X)
+
+        def within(name, fn):
+            def wrapped(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage.pop()
+            return wrapped
+
+        monkeypatch.setattr(learner, "forward_batch", recording)
+        monkeypatch.setattr(learner, "teacher_targets", within("teacher", learner.teacher_targets))
+        for name in ("evaluate", "exemplar_class_means"):
+            monkeypatch.setattr(harness, name, within("evaluate", getattr(harness, name)))
+        assert len(run_experiment(cfg).records) == 2
+        for stage_calls in calls.values():
+            assert stage_calls and set(stage_calls) == {(np.dtype(want),) * 5}
 
 
 class TestResultFiles:
@@ -478,6 +534,28 @@ class TestCli:
         assert cli_main([command, "--config", self.write_config(tmp_path, cfg)]) == 3
         assert capsys.readouterr().err == f"data error: {missing}: No such file or directory\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate-n"])
+    def test_uncreatable_out_dir_exits_2_before_training(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        path = self.write_config(tmp_path, small_config())
+        assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_run_removes_only_the_directories_it_made(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(learner, "train_task", mock.Mock(side_effect=DivergenceError(0)))
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "new" / "deeper"
+        path = self.write_config(tmp_path, small_config())
+        assert cli_main(["run", "--config", path, "--out", str(out)]) == 4
+        assert [p.name for p in (tmp_path / "kept").iterdir()] == []
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"

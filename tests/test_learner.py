@@ -404,6 +404,46 @@ class TestPixelBytes:
         assert peak < limit, f"peak {peak} bytes, float32 rows {limit} bytes"
 
 
+class TestPrecision:
+    """Training computes in the features' dtype: float32 for pixel bytes and
+    float32 rows, float64 for float64 rows."""
+
+    @pytest.mark.parametrize("dtype,want", [(np.uint8, np.float32), (np.float32, np.float32),
+                                            (np.float64, np.float64)],
+                             ids=["uint8", "float32", "float64"])
+    def test_trained_model_has_the_features_dtype(self, pixel_rows, dtype, want):
+        X = pixel_rows(40, seed=12)
+        X = X if dtype == np.uint8 else as_features(X, dtype)
+        y = np.random.default_rng(13).integers(0, 4, size=40)
+        teacher = snapshot_teacher(init_mlp(3072, (8,), 2, seed=14))  # float64 arrays
+        trained, trace = train_task(init_mlp(3072, (8,), 4, seed=15), X, y, teacher, seed=0,
+                                    tcfg=TrainConfig(epochs=2, batch_size=16))
+        assert [a.dtype for a in trained.weights + trained.biases] == [np.dtype(want)] * 4
+        assert all(isinstance(v, float) for v in trace)
+
+    def test_pixel_bytes_train_close_to_float64_rows(self):
+        """Two tasks, the second distilled from the first, trained once from
+        pixel bytes (in float32) and once from the same rows as float64."""
+        rng = np.random.default_rng(16)
+        y = np.repeat(np.arange(4), 24)
+        # four classes around distinct grey levels
+        pixels = np.clip(rng.normal(40 + 50 * y[:, None], 30, (96, 3072)), 0, 255).astype(np.uint8)
+        tcfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.05, momentum=0.9)
+        runs = []
+        for X in (pixels, pixels / 255.0):
+            first = y < 2
+            model, trace_0 = train_task(init_mlp(3072, (32,), 2, seed=17), X[first], y[first],
+                                        seed=18, tcfg=tcfg)
+            model, trace_1 = train_task(grow_head(model, 2, seed=19), X, y,
+                                        snapshot_teacher(model), seed=20, tcfg=tcfg)
+            runs.append((model, trace_0 + trace_1))
+        (low, low_trace), (high, high_trace) = runs
+        assert low.weights[0].dtype == np.float32 and high.weights[0].dtype == np.float64
+        np.testing.assert_allclose(low_trace, high_trace, rtol=1e-5)
+        for a, b in zip(low.weights + low.biases, high.weights + high.biases):
+            assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+
 class TestChunkedForward:
     """forward_chunked against one forward of the whole matrix."""
 
