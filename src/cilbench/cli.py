@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"results written to {cfg.out_dir}")
         elif args.command == "ablate-n":
             cfg = _resolved_config(args)
-            table = ablate_n(cfg, args.values, args.seeds or [cfg.seed], cfg.out_dir)
+            table = ablate_n(cfg, args.values, args.seeds or [cfg.seed])
             for (n, seed), aa in sorted(table.items()):
                 print(f"n={n} seed={seed}: avg_accuracy={aa:.4f}")
         else:  # verify

@@ -77,6 +77,9 @@ class StreamSpec:
                 f"{num_classes} classes not divisible by "
                 f"classes_per_task={self.classes_per_task}"
             )
+        if (self.mode == "fuzzy" and num_classes is not None
+                and num_classes < 2 * self.classes_per_task):
+            raise ConfigurationError("fuzzy mode needs at least two tasks to share minor rows")
         if self.class_order is not None:
             n = len(self.class_order) if num_classes is None else num_classes
             if sorted(self.class_order) != list(range(n)):

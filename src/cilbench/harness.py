@@ -343,15 +343,18 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             )
 
         # a class present here is re-selected from its rows in this task, in
-        # stream order, then the stored rows it keeps through this task's
-        # shrink; so 1-3 stray rows of an old class in a fuzzy task do not
-        # replace its quota, and a new class's pool is its task rows
+        # stream order and each once (a fuzzy task may draw a row twice), then
+        # the stored rows it keeps through this task's shrink; so 1-3 stray
+        # rows of an old class in a fuzzy task do not replace its quota, and
+        # a new class's pool is its task rows
+        order = np.argsort(task_rows, kind="stable")
+        repeat = np.zeros(len(task_rows), dtype=bool)
+        repeat[order[1:]] = task_rows[order[1:]] == task_rows[order[:-1]]
         quotas = allocate_quota(cfg.memory_budget, len(slot_to_class))
         pools = []
         for cls in labels_here:
-            rows_c = task_rows[task_labels == cls]
-            kept = np.asarray(store.train_indices.get(cls, [])[: quotas[slot_of[cls]]],
-                              dtype=np.int64)
+            rows_c = task_rows[(task_labels == cls) & ~repeat]
+            kept = store.train_indices.get(cls, np.zeros(0, np.int64))[: quotas[slot_of[cls]]]
             pools.append(np.concatenate([rows_c, kept[~np.isin(kept, rows_c)]]))
         # an embedding depends on its pool's rows only, so it is set up (bad
         # rows fail) before training; the feature rows are freed here
@@ -359,8 +362,8 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             _reduce_class(cfg, as_features(ds.X_train[pool], np.float64)) for pool in pools
         ]
         pending = [emb for emb in embeddings if emb.pending is not None]
-        stored = [i for c in sorted(store.train_indices) for i in store.train_indices[c]]
-        rows = np.concatenate([task_rows, np.asarray(stored, dtype=np.int64)])
+        stored = [store.train_indices[c] for c in sorted(store.train_indices)]
+        rows = np.concatenate([task_rows, *stored])
         with _ForkedCall(lambda: [tsne_descent(emb) for emb in pending],
                          fork=bool(pending) and _fork_pays()) as descents:
             try:
@@ -417,13 +420,10 @@ def exemplar_class_means(
 ) -> dict[int, np.ndarray]:
     """Per-class mean of stored exemplars' penultimate features under model,
     from forwards of _EVAL_ROWS rows (see learner.forward_chunked)."""
-    means: dict[int, np.ndarray] = {}
-    for cls, rows in store.train_indices.items():
-        if not rows:
-            continue
-        feats = learner.forward_chunked(model, X_train[rows], _EVAL_ROWS, lambda _, f: f)
-        means[cls] = feats.mean(axis=0)
-    return means
+    return {
+        cls: learner.forward_chunked(model, X_train[rows], _EVAL_ROWS, lambda _, f: f).mean(axis=0)
+        for cls, rows in store.train_indices.items()
+    }
 
 
 def outlier_benchmark_config(
@@ -569,30 +569,29 @@ def _write_files(out_dir: str, files: dict[str, str]) -> None:
                 os.remove(tmp)
 
 
-def run_and_emit(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Run the experiment and write its result files into out_dir, which
-    is created before any training (see _output_dir).  A run that diverges
-    after its first task writes the files of the tasks it finished, then
-    re-raises the DivergenceError."""
+def run_and_emit(cfg: RunConfig) -> RunResult:
+    """Run the experiment and write its result files into cfg.out_dir,
+    which is created before any training (see _output_dir).  A run that
+    diverges after its first task writes the files of the tasks it
+    finished, then re-raises the DivergenceError."""
     cfg.validate()  # cfg.out_dir is a string from here on
-    out_dir = out_dir or cfg.out_dir
-    with _output_dir(out_dir):
+    with _output_dir(cfg.out_dir):
         try:
             result = run_experiment(cfg)
         except DivergenceError as exc:
             if exc.partial is not None:
-                emit_results(exc.partial, cfg, out_dir)
+                emit_results(exc.partial, cfg, cfg.out_dir)
             raise
-        emit_results(result, cfg, out_dir)
+        emit_results(result, cfg, cfg.out_dir)
     return result
 
 
 def ablate_n(
-    cfg: RunConfig, values: list[int], seeds: list[int], out_dir: str
+    cfg: RunConfig, values: list[int], seeds: list[int]
 ) -> dict[tuple[int, int], float]:
-    """Run the neighbor-count ablation over shared seeds; one combined CSV.
-    Every run's config, and every seed's data and stream, is checked, and
-    out_dir created, before the first run trains."""
+    """Run the neighbor-count ablation over shared seeds; one combined CSV
+    in cfg.out_dir.  Every run's config, and every seed's data and stream,
+    is checked, and cfg.out_dir created, before the first run trains."""
     runs = [
         (n, seed, dataclasses.replace(
             cfg,
@@ -612,10 +611,10 @@ def ablate_n(
         _checked_stream(seed_cfg, load_dataset(seed_cfg))
     rows = ["n,seed,avg_accuracy"]
     out: dict[tuple[int, int], float] = {}
-    with _output_dir(out_dir):
+    with _output_dir(cfg.out_dir):
         for n, seed, run_cfg in runs:
             aa = run_experiment(run_cfg).records[-1].avg_accuracy
             out[(n, seed)] = aa
             rows.append(f"{n},{seed},{aa!r}")
-        _write_files(out_dir, {"ablation.csv": "\n".join(rows) + "\n"})
+        _write_files(cfg.out_dir, {"ablation.csv": "\n".join(rows) + "\n"})
     return out

@@ -218,26 +218,29 @@ def allocate_quota(M: int, classes_seen: int) -> list[int]:
 
 @dataclass
 class ExemplarStore:
-    """Per-class exemplars as rows of the training split, in selection order."""
+    """Per-class exemplars as int64 rows of the training split, in selection order."""
 
     budget: int
-    train_indices: dict[int, list[int]] = field(default_factory=dict)
+    train_indices: dict[int, np.ndarray] = field(default_factory=dict)
 
     def total(self) -> int:
         return sum(len(v) for v in self.train_indices.values())
 
     def set_class(self, cls: int, indices, y_train: np.ndarray) -> None:
         """Store training rows `indices` (labelled by y_train) as class cls's
-        exemplars.  Labels and budget are checked first, so a rejected call
-        leaves the store as it was."""
-        indices = [int(i) for i in indices]
-        for i in indices:
-            if y_train[i] != cls:
-                raise ConfigurationError(f"label {y_train[i]} stored under class {cls}")
-        kept = self.total() - len(self.train_indices.get(cls, []))
-        if kept + len(indices) > self.budget:
+        exemplars.  Labels, distinct rows and budget are checked first, so a
+        rejected call leaves the store as it was."""
+        rows = np.array(indices, dtype=np.int64)
+        wrong = y_train[rows] != cls
+        if wrong.any():
+            raise ConfigurationError(f"label {y_train[rows][wrong][0]} stored under class {cls}")
+        ranked = np.sort(rows)
+        if (ranked[1:] == ranked[:-1]).any():
+            raise ConfigurationError(f"a row is stored twice under class {cls}")
+        kept = self.total() - len(self.train_indices.get(cls, ()))
+        if kept + len(rows) > self.budget:
             raise ConfigurationError("exemplar store exceeded its budget")
-        self.train_indices[cls] = indices
+        self.train_indices[cls] = rows
 
     def shrink_class(self, cls: int, new_quota: int) -> None:
         """Keep the first new_quota exemplars.  Selection order makes every
@@ -249,16 +252,6 @@ class ExemplarStore:
         self.train_indices[cls] = self.train_indices[cls][:new_quota]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "budget": self.budget,
-                "classes": [
-                    {
-                        "class": c,
-                        "indices_into_train": self.train_indices[c],
-                        "selection_order": list(range(len(self.train_indices[c]))),
-                    }
-                    for c in sorted(self.train_indices)
-                ],
-            }
-        )
+        classes = [{"class": c, "indices_into_train": self.train_indices[c].tolist()}
+                   for c in sorted(self.train_indices)]
+        return json.dumps({"budget": self.budget, "classes": classes})

@@ -32,6 +32,7 @@ from cilbench.harness import (
     exemplar_class_means,
     load_config,
     load_dataset,
+    outlier_benchmark_config,
     run_and_emit,
     run_experiment,
 )
@@ -207,7 +208,8 @@ class TestRunExperiment:
                     len(rows), min(quotas[slot], len(rows)),
                     _module_seed(cfg.seed, 2, task.task_index, cls),
                 )
-                assert result.store.train_indices[cls] == rows[picked][: final[slot]].tolist()
+                stored = result.store.train_indices[cls].tolist()
+                assert stored == rows[picked][: final[slot]].tolist()
         assert seeds == {
             "init_mlp": [_module_seed(cfg.seed, 4)],
             "grow_head": [_module_seed(cfg.seed, 4, t) for t in range(1, len(tasks))],
@@ -248,6 +250,24 @@ class TestRunExperiment:
         assert held == allocate_quota(cfg.memory_budget, 4) == [5, 5, 5, 5]
         assert [r.exemplar_count for r in result.records] == [20, 20]
         assert set(result.store.train_indices[0]) <= set(rows[0].tolist())
+
+    def test_row_a_fuzzy_task_drew_twice_is_stored_once(self):
+        """A minor row a fuzzy task draws twice when its donors run dry
+        enters its class's pool once, so no row is stored twice."""
+        base = outlier_benchmark_config("diverse", 5, 2)
+        cfg = dataclasses.replace(
+            base,
+            blobs=dataclasses.replace(base.blobs, num_classes=6, per_class=20),
+            stream=StreamSpec("fuzzy", 2, 30),
+            memory_budget=200,
+            train=TrainConfig(epochs=1, batch_size=32),
+        )
+        result = run_experiment(cfg)
+        assert result.records[2].warnings == [
+            "task 2: minor pool exhausted, sampled 2 examples with replacement"
+        ]
+        stored = np.concatenate(list(result.store.train_indices.values())).tolist()
+        assert len(set(stored)) == len(stored) == result.records[-1].exemplar_count == 94
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -343,8 +363,8 @@ class TestPixelBytes:
 
 class TestResultFiles:
     def test_emit_files(self, tmp_path):
-        cfg = small_config()
-        result = run_and_emit(cfg, str(tmp_path))
+        cfg = small_config(out_dir=str(tmp_path))
+        result = run_and_emit(cfg)
         metrics = (tmp_path / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "task,accuracy,avg_accuracy,exemplars,seconds"
         assert len(metrics) == 1 + len(result.records)
@@ -355,12 +375,17 @@ class TestResultFiles:
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = small_config()
-        run_and_emit(cfg, str(tmp_path / "a"))
-        run_and_emit(cfg, str(tmp_path / "b"))
-        for name in ("config.json", "exemplars.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
-            ).read_bytes()
+        for d in ("a", "b"):
+            run_and_emit(dataclasses.replace(cfg, out_dir=str(tmp_path / d)))
+        assert (tmp_path / "a" / "exemplars.json").read_bytes() == (
+            tmp_path / "b" / "exemplars.json"
+        ).read_bytes()
+        # config.json differs only in the out_dir it records
+        configs = [
+            (tmp_path / d / "config.json").read_text().replace(str(tmp_path / d), "")
+            for d in ("a", "b")
+        ]
+        assert configs[0] == configs[1]
         # wall-clock is never asserted: compare metrics with seconds masked
         strip = lambda p: [
             ",".join(line.split(",")[:4]) for line in p.read_text().splitlines()
@@ -370,8 +395,8 @@ class TestResultFiles:
         )
 
     def test_failed_emit_leaves_earlier_files_intact(self, tmp_path, monkeypatch):
-        cfg = small_config()
-        result = run_and_emit(cfg, str(tmp_path))
+        cfg = small_config(out_dir=str(tmp_path))
+        result = run_and_emit(cfg)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert "exemplars.json" in before
 
@@ -394,8 +419,8 @@ class TestResultFiles:
         assert not fresh.exists() or not list(fresh.iterdir())
 
     def test_failed_ablation_write_keeps_earlier_csv(self, tmp_path, monkeypatch):
-        cfg = small_config(train=TrainConfig(epochs=2, batch_size=16))
-        ablate_n(cfg, [0], [1], str(tmp_path))
+        cfg = small_config(train=TrainConfig(epochs=2, batch_size=16), out_dir=str(tmp_path))
+        ablate_n(cfg, [0], [1])
         before = (tmp_path / "ablation.csv").read_bytes()
 
         def fail(*args, **kwargs):
@@ -403,7 +428,7 @@ class TestResultFiles:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(RuntimeError):
-            ablate_n(cfg, [0, 2], [1], str(tmp_path))
+            ablate_n(cfg, [0, 2], [1])
         assert (tmp_path / "ablation.csv").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ablation.csv"]
 
@@ -707,6 +732,21 @@ class TestCli:
         except SystemExit as exc:
             code = exc.code
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate-n"])
+    def test_one_task_fuzzy_stream_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # a single task has no other class to take its minor rows from
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        cfg = dataclasses.replace(
+            outlier_benchmark_config(), stream=StreamSpec("fuzzy", 10, 10), out_dir=str(out)
+        )
+        assert cli_main([command, "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "two tasks" in err[0]
         assert not out.exists()
 
     def test_ablate_n(self, tmp_path, capsys):

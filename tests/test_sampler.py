@@ -245,7 +245,7 @@ class TestMemory:
         store = ExemplarStore(budget=100)
         store.set_class(0, list(range(50)), np.zeros(50, dtype=np.int64))
         store.shrink_class(0, 20)
-        assert store.train_indices[0] == list(range(20))
+        assert store.train_indices[0].tolist() == list(range(20))
 
     def test_shrink_noop_cases(self):
         store = ExemplarStore(budget=10)
@@ -270,13 +270,22 @@ class TestMemory:
         with pytest.raises(ConfigurationError):
             store.set_class(0, [1, 2, 3], y_train)
         # a rejected call stores nothing
-        assert store.train_indices == {1: [0]}
+        assert {c: v.tolist() for c, v in store.train_indices.items()} == {1: [0]}
         assert store.total() == 1
 
     def test_label_mismatch_rejected(self):
         store = ExemplarStore(budget=5)
         with pytest.raises(ConfigurationError):
             store.set_class(0, [0], np.array([1]))
+
+    def test_row_listed_twice_rejected(self):
+        store = ExemplarStore(budget=5)
+        y_train = np.zeros(4, dtype=np.int64)
+        store.set_class(0, [3, 1], y_train)
+        with pytest.raises(ConfigurationError, match="stored twice"):
+            store.set_class(0, [2, 0, 2], y_train)
+        # a rejected call leaves the class's earlier rows in place
+        assert store.train_indices[0].tolist() == [3, 1]
 
     def test_json_schema(self):
         import json
@@ -285,6 +294,5 @@ class TestMemory:
         store.set_class(2, [4, 9], np.full(10, 2))
         dump = json.loads(store.to_json())
         assert dump["budget"] == 5
-        assert dump["classes"] == [
-            {"class": 2, "indices_into_train": [4, 9], "selection_order": [0, 1]}
-        ]
+        # the rows are in selection order: no separate order field
+        assert dump["classes"] == [{"class": 2, "indices_into_train": [4, 9]}]

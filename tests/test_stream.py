@@ -218,6 +218,37 @@ class TestFuzzyStream:
             idx = [i for t in tasks for i in t.example_indices]
             assert len(idx) == len(set(idx))
 
+    def test_shortfall_draws_with_replacement(self):
+        # 6 classes of 16 train rows, 30% minor: when task 2 comes, the
+        # donors of the other classes are 2 rows short
+        ds = make_blobs(BlobsSpec(6, 20), 8)
+        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=30), 4)
+        assert [t.warnings for t in tasks] == [
+            [], [], ["task 2: minor pool exhausted, sampled 2 examples with replacement"]
+        ]
+        minor_rows = []
+        for t in tasks:
+            minor = ~np.isin(ds.y_train[t.example_indices], list(t.major_classes))
+            assert len(t.example_indices) == 32 and minor.sum() == round(0.3 * 32) == 10
+            minor_rows.append(t.example_indices[minor])
+        # the 2 rows drawn with replacement are the only repeats, both among
+        # task 2's minor rows (one of them within task 2 itself): every other
+        # row lands in exactly one task
+        counts = np.bincount(np.concatenate([t.example_indices for t in tasks]))
+        assert (counts[counts > 1] - 1).sum() == 2
+        assert np.isin(np.flatnonzero(counts > 1), minor_rows[2]).all()
+        assert len(set(tasks[2].example_indices.tolist())) == 31
+
+    def test_single_fuzzy_task_rejected(self):
+        # a lone task has no other class to take its minor rows from
+        with pytest.raises(ConfigurationError, match="two tasks"):
+            StreamSpec("fuzzy", 2, fuzz_percent=10).validate(2)
+        ds = make_blobs(BlobsSpec(4, 10), 4)
+        with pytest.raises(ConfigurationError, match="two tasks"):
+            make_fuzzy_stream(ds, StreamSpec("fuzzy", 4, fuzz_percent=10), 0)
+        StreamSpec("fuzzy", 2, fuzz_percent=10).validate(4)
+        StreamSpec("disjoint", 4).validate(4)
+
     def test_mode_guards(self):
         ds = make_blobs(BlobsSpec(4, 10), 4)
         with pytest.raises(ConfigurationError):
