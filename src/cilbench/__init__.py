@@ -14,8 +14,6 @@ from .data import (
     TaskBatch,
     load_cifar100,
     make_blobs,
-    make_disjoint_stream,
-    make_fuzzy_stream,
     make_stream,
 )
 from .errors import (
@@ -86,8 +84,6 @@ __all__ = [
     "init_mlp",
     "load_cifar100",
     "make_blobs",
-    "make_disjoint_stream",
-    "make_fuzzy_stream",
     "make_stream",
     "pca_reduce",
     "random_sample",

@@ -245,11 +245,8 @@ def _rows_of(y: np.ndarray, classes) -> np.ndarray:
     return np.concatenate([np.flatnonzero(y == c) for c in sorted(classes)])
 
 
-def make_disjoint_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
+def _disjoint_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
     """Partition training data into tasks with pairwise-disjoint class sets."""
-    if spec.mode != "disjoint":
-        raise ConfigurationError("make_disjoint_stream requires mode='disjoint'")
-    spec.validate(ds.num_classes)
     order = _class_order(spec, ds.num_classes, seed)
     q = spec.classes_per_task
     tasks = []
@@ -261,7 +258,7 @@ def make_disjoint_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskB
     return tasks
 
 
-def make_fuzzy_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
+def _fuzzy_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
     """Build a fuzzy stream: each task mixes majors with Z% minor examples.
 
     Task size equals the task's full major-class pool size; round(Z% of it)
@@ -270,9 +267,6 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatc
     example lands in exactly one task unless a donor pool runs dry, in which
     case the shortfall is drawn with replacement and a warning is recorded.
     """
-    if spec.mode != "fuzzy":
-        raise ConfigurationError("make_fuzzy_stream requires mode='fuzzy'")
-    spec.validate(ds.num_classes)
     order = _class_order(spec, ds.num_classes, seed)
     labels = ds.y_train
     q = spec.classes_per_task
@@ -319,6 +313,7 @@ def make_fuzzy_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatc
 
 
 def make_stream(ds: Dataset, spec: StreamSpec, seed: int) -> list[TaskBatch]:
-    if spec.mode == "disjoint":
-        return make_disjoint_stream(ds, spec, seed)
-    return make_fuzzy_stream(ds, spec, seed)
+    """The task stream of spec over ds, after spec's checks against ds."""
+    spec.validate(ds.num_classes)
+    build = _disjoint_stream if spec.mode == "disjoint" else _fuzzy_stream
+    return build(ds, spec, seed)

@@ -1,12 +1,18 @@
-"""Experiment orchestration: reduce + train -> sample -> update memory ->
-evaluate, with CSV/JSON result files and seed fan-out.
+"""Experiment orchestration: exemplar memory, training and evaluation over
+a task stream, with CSV/JSON result files and seed fan-out.
 
-Each task depends on the previous model, so tasks run one after another.
-Within a task, the class embeddings depend on the class's input rows
-only, so they are set up before training, and where a core would
-otherwise idle (see _fork_pays) the t-SNE descents run in one forked
-child while the task trains.  Independent replicate runs share no state
-and may run concurrently.
+The exemplar memory is a function of the stream, the data and the config,
+never of the model: pools come from stream rows and stored rows,
+embeddings from pool rows, quotas from slot counts, and the random
+sampler draws from derived seeds.  So memory_steps owns it and reads no
+model, and run_experiment trains and evaluates over it, reading the
+memory only for the rows to train on and their head slots, the NME means
+and the classes accuracy covers.  memory_steps yields twice per task:
+before training, the head slots and the rows to train on, with the class
+embeddings set up and their t-SNE descents running in a forked child
+where a core would otherwise idle (see _fork_pays); after training, the
+updated store.  Tasks run one after another, as each trains the previous
+model; independent replicate runs share no state and may run concurrently.
 """
 
 from __future__ import annotations
@@ -237,18 +243,6 @@ class _ForkedCall:
             self.pid = None
 
 
-def _select_exemplars(
-    cfg: RunConfig, emb, quota: int, task: int, cls: int
-) -> list[int]:
-    quota = min(quota, emb.points.shape[0])
-    if cfg.sampler_kind == "random":
-        return sampler.random_sample(
-            emb.points.shape[0], quota, _module_seed(cfg.seed, _SEED_SAMPLE, task, cls)
-        )
-    params = dataclasses.replace(cfg.sampler_params, m=quota)
-    return sampler.diverse_sample(emb, params)
-
-
 def evaluate(
     model: MlpModel,
     X: np.ndarray,
@@ -304,43 +298,25 @@ def _checked_stream(cfg: RunConfig, ds: Dataset) -> list[TaskBatch]:
     return tasks
 
 
-def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
-    """Run the full class-incremental loop over the configured stream."""
-    cfg.validate()
-    ds = dataset if dataset is not None else load_dataset(cfg)
-    tasks = _checked_stream(cfg, ds)
-
+def memory_steps(cfg: RunConfig, ds: Dataset, tasks: list[TaskBatch]):
+    """The exemplar memory over tasks; it reads no model.  Per task it yields
+    (1) once the task's embeddings are set up, so rows that cannot be
+    embedded fail before the task trains: the classes by head slot, the
+    class -> slot array, and the rows to train on (the task's rows and the
+    unshrunk memory of earlier tasks), while the t-SNE descents run; and
+    (2) when resumed after training: the shrunk and re-selected store and
+    the task's warnings."""
     store = ExemplarStore(budget=cfg.memory_budget)
-    model: MlpModel | None = None
-    teacher: learner.TeacherSnapshot | None = None
     slot_to_class: list[int] = []
     slot_of = np.full(ds.num_classes, -1, dtype=np.int64)  # class -> head slot
-    records: list[MetricsRecord] = []
-    accuracies: list[float] = []
-    finished: RunResult | None = None  # the state after the last finished task
-
     for task in tasks:
-        t0 = time.perf_counter()
-        warnings = list(task.warnings)
         task_rows = task.example_indices
         task_labels = ds.y_train[task_rows]
-
         labels_here = np.flatnonzero(np.bincount(task_labels)).tolist()
-        new_classes = [c for c in labels_here if slot_of[c] < 0]
-        for c in new_classes:
-            slot_of[c] = len(slot_to_class)
-            slot_to_class.append(c)
-        if model is None:
-            model = learner.init_mlp(
-                ds.dim,
-                cfg.hidden_sizes,
-                len(slot_to_class),
-                _module_seed(cfg.seed, _SEED_MODEL),
-            )
-        elif new_classes:
-            model = learner.grow_head(
-                model, len(new_classes), _module_seed(cfg.seed, _SEED_MODEL, task.task_index)
-            )
+        for c in labels_here:
+            if slot_of[c] < 0:
+                slot_of[c] = len(slot_to_class)
+                slot_to_class.append(c)
 
         # a class present here is re-selected from its rows in this task, in
         # stream order and each once (a fuzzy task may draw a row twice), then
@@ -363,9 +339,59 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
         ]
         pending = [emb for emb in embeddings if emb.pending is not None]
         stored = [store.train_indices[c] for c in sorted(store.train_indices)]
-        rows = np.concatenate([task_rows, *stored])
         with _ForkedCall(lambda: [tsne_descent(emb) for emb in pending],
                          fork=bool(pending) and _fork_pays()) as descents:
+            yield slot_to_class, slot_of, np.concatenate([task_rows, *stored])
+            for emb, (points, kl_trace) in zip(pending, descents.result()):
+                finish_tsne(emb, points, kl_trace)
+
+        # shrink every class, then re-select the classes present from their
+        # pools; training rehearsed the unshrunk memory
+        for cls in list(store.train_indices):
+            store.shrink_class(cls, quotas[slot_of[cls]])
+        warnings = list(task.warnings)
+        for cls, pool, emb in zip(labels_here, pools, embeddings):
+            warnings += [f"class {cls}: {w}" for w in emb.warnings]
+            quota = min(quotas[slot_of[cls]], len(pool))
+            if cfg.sampler_kind == "random":
+                picked = sampler.random_sample(
+                    len(pool), quota, _module_seed(cfg.seed, _SEED_SAMPLE, task.task_index, cls)
+                )
+            else:
+                params = dataclasses.replace(cfg.sampler_params, m=quota)
+                picked = sampler.diverse_sample(emb, params)
+            store.set_class(cls, pool[picked], ds.y_train)
+        yield store, warnings
+
+
+def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
+    """Run the full class-incremental loop over the configured stream:
+    train and evaluate each task on the memory memory_steps hands over."""
+    cfg.validate()
+    ds = dataset if dataset is not None else load_dataset(cfg)
+    tasks = _checked_stream(cfg, ds)
+
+    model: MlpModel | None = None
+    teacher: learner.TeacherSnapshot | None = None
+    records: list[MetricsRecord] = []
+    accuracies: list[float] = []
+    finished: RunResult | None = None  # the state after the last finished task
+
+    # closed on any exception, so a forked descent never outlives the run
+    with contextlib.closing(memory_steps(cfg, ds, tasks)) as steps:
+        for task in tasks:
+            t0 = time.perf_counter()
+            slot_to_class, slot_of, rows = next(steps)
+            if model is None:
+                model = learner.init_mlp(
+                    ds.dim, cfg.hidden_sizes, len(slot_to_class),
+                    _module_seed(cfg.seed, _SEED_MODEL),
+                )
+            elif len(slot_to_class) > model.num_classes:
+                model = learner.grow_head(
+                    model, len(slot_to_class) - model.num_classes,
+                    _module_seed(cfg.seed, _SEED_MODEL, task.task_index),
+                )
             try:
                 model, _trace = learner.train_task(
                     model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
@@ -373,45 +399,27 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                     lcfg=cfg.loss, tcfg=cfg.train,
                 )
             except DivergenceError as exc:
-                # the store is updated after training, so it still holds the
-                # memory of the finished tasks
+                # the store changes only on the next step, so it still holds
+                # the memory of the finished tasks
                 exc.partial = finished
                 raise
             teacher = learner.snapshot_teacher(model)
-            for emb, (points, kl_trace) in zip(pending, descents.result()):
-                finish_tsne(emb, points, kl_trace)
+            store, warnings = next(steps)
 
-        # memory update: shrink every class, then re-select the classes
-        # present from their pools; training rehearsed the unshrunk memory
-        for cls in list(store.train_indices):
-            store.shrink_class(cls, quotas[slot_of[cls]])
-        for cls, pool, emb in zip(labels_here, pools, embeddings):
-            warnings += [f"class {cls}: {w}" for w in emb.warnings]
-            picked = _select_exemplars(cfg, emb, quotas[slot_of[cls]], task.task_index, cls)
-            store.set_class(cls, pool[picked], ds.y_train)
-
-        seen = np.isin(ds.y_test, slot_to_class)
-        class_means = None
-        if cfg.classifier == "nme":
-            class_means = exemplar_class_means(model, ds.X_train, store)
-        acc = evaluate(
-            model, ds.X_test[seen], ds.y_test[seen], cfg.classifier, class_means,
-            slot_to_class,
-        )
-        accuracies.append(acc)
-        records.append(
-            MetricsRecord(
-                task_index=task.task_index,
-                accuracy=acc,
-                avg_accuracy=average_accuracy(accuracies),
-                exemplar_count=store.total(),
-                seconds=time.perf_counter() - t0,
-                warnings=warnings,
+            seen = np.isin(ds.y_test, slot_to_class)
+            class_means = None
+            if cfg.classifier == "nme":
+                class_means = exemplar_class_means(model, ds.X_train, store)
+            acc = evaluate(
+                model, ds.X_test[seen], ds.y_test[seen], cfg.classifier, class_means,
+                slot_to_class,
             )
-        )
-        finished = RunResult(
-            records=records, store=store, model=model, class_order_seen=list(slot_to_class)
-        )
+            accuracies.append(acc)
+            records.append(MetricsRecord(
+                task.task_index, acc, average_accuracy(accuracies), exemplar_count=store.total(),
+                seconds=time.perf_counter() - t0, warnings=warnings,
+            ))
+            finished = RunResult(records, store, model, class_order_seen=list(slot_to_class))
     return finished
 
 

@@ -11,6 +11,8 @@ per step; the training loop that ran the teacher on every mini-batch and
 built fresh momentum arrays at every step; the sampler loop that
 recounted every row's neighbours at each radius bump; and the
 row-by-row perplexity bisection.  To a tolerance: the economy-SVD PCA.
+memory_reference restates the exemplar memory's rules over a whole task
+stream, without a model.
 The module imports nothing from cilbench except its error types, so an
 oracle never shares code with what it checks.
 """
@@ -300,3 +302,54 @@ def conditional_affinities_per_row(
             p, h = _row_affinities(row, beta)
         P[i, np.arange(n) != i] = p
     return P
+
+
+def memory_reference(cfg, ds, tasks) -> list[dict[int, list[int]]]:
+    """The exemplar memory after each task of tasks, as {class: training
+    rows in selection order}, by the documented rules, for a config with
+    reducer "none" (a class's embedding is its training rows):
+
+    - a class takes the next head slot when it first appears; classes new
+      in the same task take theirs in ascending order;
+    - with k slots a budget of M rows gives each slot M // k, and one more
+      to each of the first M % k slots;
+    - every stored class keeps the prefix of its quota;
+    - a class present in a task is selected anew from its pool: its rows in
+      the task, each once in stream order, then the rows it kept that are
+      not among them;
+    - the selection takes min(quota, pool size) rows, by
+      diverse_sample_reference, or for sampler_kind "random" by a
+      rng.choice without replacement seeded from
+      SeedSequence([seed, 2, task, class]).
+    """
+    if cfg.reducer != "none":
+        raise ConfigurationError("memory_reference restates reducer 'none' only")
+    X = np.asarray(ds.X_train, dtype=np.float64)
+    labels = [int(c) for c in ds.y_train]
+    slots: list[int] = []
+    store: dict[int, list[int]] = {}
+    after_each = []
+    for task in tasks:
+        pools: dict[int, list[int]] = {}
+        for row in (int(i) for i in task.example_indices):
+            pool = pools.setdefault(labels[row], [])
+            if row not in pool:
+                pool.append(row)
+        slots += sorted(c for c in pools if c not in slots)
+        base, extra = divmod(cfg.memory_budget, len(slots))
+        quota = {c: base + (s < extra) for s, c in enumerate(slots)}
+        store = {c: rows[: quota[c]] for c, rows in store.items()}
+        for c, pool in pools.items():
+            pool = pool + [row for row in store.get(c, []) if row not in pool]
+            m = min(quota[c], len(pool))
+            if cfg.sampler_kind == "random":
+                ss = np.random.SeedSequence([cfg.seed, 2, task.task_index, c])
+                seed = int(ss.generate_state(1, dtype=np.uint64)[0] % 2**63)
+                picked = np.random.default_rng(seed).choice(len(pool), size=m, replace=False)
+            else:
+                p = cfg.sampler_params
+                picked = diverse_sample_reference(X[pool], m=m, n=p.n, r0=p.r0,
+                                                  delta_r=p.delta_r, max_adapt=p.max_adapt)
+            store[c] = [pool[k] for k in picked]
+        after_each.append(dict(store))
+    return after_each

@@ -20,8 +20,7 @@ from cilbench.data import (
     StreamSpec,
     load_cifar100,
     make_blobs,
-    make_disjoint_stream,
-    make_fuzzy_stream,
+    make_stream,
     pack_cifar_record,
 )
 from cilbench.errors import DataError
@@ -228,13 +227,13 @@ def test_08_stream_composition():
     t0 = time.perf_counter()
     ok = True
     ds = make_blobs(BlobsSpec(10, 50, dim=2), 81)  # 40 train per class
-    fuzzy = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 82)
+    fuzzy = make_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 82)
     for task in fuzzy:
         labels = ds.y_train[task.example_indices]
         minor = sum(1 for c in labels if c not in task.major_classes)
         ok &= minor == round(0.10 * len(labels))
         ok &= len(labels) - minor == round(0.90 * len(labels))
-    disjoint = make_disjoint_stream(ds, StreamSpec("disjoint", 2), 83)
+    disjoint = make_stream(ds, StreamSpec("disjoint", 2), 83)
     for a in disjoint:
         for b in disjoint:
             if a.task_index != b.task_index:

@@ -864,6 +864,19 @@ class TestForkedDescent:
         assert len((out / "metrics.csv").read_text().splitlines()) == 2
         assert len(json.loads((out / "exemplars.json").read_text())["classes"]) == 2
 
+    def test_divergence_kills_the_child_while_its_traceback_lives(self, monkeypatch):
+        # the traceback keeps run_experiment's frame, and with it the
+        # suspended memory_steps, alive: the child must be gone regardless
+        def diverge(*args, **kwargs):
+            raise DivergenceError(3)
+
+        monkeypatch.setattr(learner, "train_task", diverge)
+        monkeypatch.setattr(harness, "_fork_pays", lambda: True)
+        with pytest.raises(DivergenceError) as caught:
+            run_experiment(self.tsne_config())
+        _no_child_left()
+        assert caught.value.partial is None
+
     def test_data_error_in_the_child_exits_3(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         path = self.write_config(tmp_path, self.tsne_config(out_dir=str(out)))

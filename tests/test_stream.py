@@ -10,8 +10,7 @@ from cilbench.data import (
     StreamSpec,
     load_cifar100,
     make_blobs,
-    make_disjoint_stream,
-    make_fuzzy_stream,
+    make_stream,
     pack_cifar_record,
 )
 from cilbench.errors import ConfigurationError, DataError
@@ -158,7 +157,7 @@ class TestBlobs:
 class TestDisjointStream:
     def test_partition(self):
         ds = make_blobs(BlobsSpec(10, 10), 0)
-        tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 5), 1)
+        tasks = make_stream(ds, StreamSpec("disjoint", 5), 1)
         assert len(tasks) == 2
         union = set()
         for t in tasks:
@@ -169,19 +168,19 @@ class TestDisjointStream:
 
     def test_all_examples_present(self):
         ds = make_blobs(BlobsSpec(6, 10), 2)
-        tasks = make_disjoint_stream(ds, StreamSpec("disjoint", 2), 3)
+        tasks = make_stream(ds, StreamSpec("disjoint", 2), 3)
         idx = sorted(i for t in tasks for i in t.example_indices)
         assert idx == list(range(len(ds.train)))
 
     def test_divisibility_error(self):
         ds = make_blobs(BlobsSpec(10, 10), 0)
         with pytest.raises(ConfigurationError):
-            make_disjoint_stream(ds, StreamSpec("disjoint", 3), 0)
+            make_stream(ds, StreamSpec("disjoint", 3), 0)
 
     def test_determinism(self):
         ds = make_blobs(BlobsSpec(6, 10), 2)
         spec = StreamSpec("disjoint", 3)
-        a, b = make_disjoint_stream(ds, spec, 11), make_disjoint_stream(ds, spec, 11)
+        a, b = make_stream(ds, spec, 11), make_stream(ds, spec, 11)
         assert [t.task_index for t in a] == [t.task_index for t in b]
         assert [t.major_classes for t in a] == [t.major_classes for t in b]
         assert all(np.array_equal(x.example_indices, y.example_indices) for x, y in zip(a, b))
@@ -189,7 +188,7 @@ class TestDisjointStream:
     def test_explicit_class_order(self):
         ds = make_blobs(BlobsSpec(4, 10), 2)
         spec = StreamSpec("disjoint", 2, class_order=(3, 1, 0, 2))
-        tasks = make_disjoint_stream(ds, spec, 0)
+        tasks = make_stream(ds, spec, 0)
         assert tasks[0].major_classes == {3, 1}
         assert tasks[1].major_classes == {0, 2}
 
@@ -198,14 +197,14 @@ class TestFuzzyStream:
     def test_exact_composition(self):
         # 4 classes, q=2, Z=50: each task half major, half minor
         ds = make_blobs(BlobsSpec(4, 10), 4)  # 8 train per class
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=50), 5)
+        tasks = make_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=50), 5)
         for t in tasks:
             minor = sum(1 for c in ds.y_train[t.example_indices] if c not in t.major_classes)
             assert len(t.example_indices) == 16 and minor == 8
 
     def test_fuzzy10_rounding_rule(self):
         ds = make_blobs(BlobsSpec(10, 50), 6)  # 40 train per class, task pool 80
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 7)
+        tasks = make_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=10), 7)
         for t in tasks:
             minor = sum(1 for c in ds.y_train[t.example_indices] if c not in t.major_classes)
             assert minor == round(0.10 * len(t.example_indices))
@@ -213,7 +212,7 @@ class TestFuzzyStream:
 
     def test_each_example_in_one_task(self):
         ds = make_blobs(BlobsSpec(6, 20), 8)
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=20), 9)
+        tasks = make_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=20), 9)
         if not any(t.warnings for t in tasks):
             idx = [i for t in tasks for i in t.example_indices]
             assert len(idx) == len(set(idx))
@@ -222,7 +221,7 @@ class TestFuzzyStream:
         # 6 classes of 16 train rows, 30% minor: when task 2 comes, the
         # donors of the other classes are 2 rows short
         ds = make_blobs(BlobsSpec(6, 20), 8)
-        tasks = make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=30), 4)
+        tasks = make_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=30), 4)
         assert [t.warnings for t in tasks] == [
             [], [], ["task 2: minor pool exhausted, sampled 2 examples with replacement"]
         ]
@@ -245,14 +244,12 @@ class TestFuzzyStream:
             StreamSpec("fuzzy", 2, fuzz_percent=10).validate(2)
         ds = make_blobs(BlobsSpec(4, 10), 4)
         with pytest.raises(ConfigurationError, match="two tasks"):
-            make_fuzzy_stream(ds, StreamSpec("fuzzy", 4, fuzz_percent=10), 0)
+            make_stream(ds, StreamSpec("fuzzy", 4, fuzz_percent=10), 0)
         StreamSpec("fuzzy", 2, fuzz_percent=10).validate(4)
         StreamSpec("disjoint", 4).validate(4)
 
     def test_mode_guards(self):
         ds = make_blobs(BlobsSpec(4, 10), 4)
         with pytest.raises(ConfigurationError):
-            make_fuzzy_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=0), 0)
-        with pytest.raises(ConfigurationError):
-            make_fuzzy_stream(ds, StreamSpec("disjoint", 2), 0)
+            make_stream(ds, StreamSpec("fuzzy", 2, fuzz_percent=0), 0)
 
