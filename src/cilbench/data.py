@@ -41,7 +41,6 @@ class Dataset:
     X_test: np.ndarray
     y_test: np.ndarray
     num_classes: int
-    dim: int
 
     # Per-row views of the stored rows for readers that predate the arrays;
     # cilbench itself never builds them.
@@ -147,15 +146,9 @@ def load_cifar100(path: str, split: str = "train") -> Dataset:
                 f"below the largest label {fine.max()}"
             )
     pixels = arr[:, 2:]
-    # the other split is empty
-    ds = Dataset(
-        pixels[:0], fine[:0], pixels[:0], fine[:0], int(fine.max()) + 1, CIFAR_PIXELS
-    )
-    if split == "train":
-        ds.X_train, ds.y_train = pixels, fine
-    else:
-        ds.X_test, ds.y_test = pixels, fine
-    return ds
+    rows, empty = (pixels, fine), (pixels[:0], fine[:0])  # the other split is empty
+    train, test = (rows, empty) if split == "train" else (empty, rows)
+    return Dataset(*train, *test, int(fine.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +217,6 @@ def make_blobs(spec: BlobsSpec, seed: int) -> Dataset:
         np.concatenate(X_test),
         classes.repeat(per_class - n_train),
         num_classes,
-        dim,
     )
 
 

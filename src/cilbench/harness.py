@@ -247,16 +247,19 @@ def evaluate(
     model: MlpModel,
     X: np.ndarray,
     y: np.ndarray,
-    classifier: str = "softmax_head",
+    slot_to_class: list[int],
     class_means: dict[int, np.ndarray] | None = None,
-    slot_to_class: list[int] | None = None,
 ) -> float:
-    """Accuracy on test rows X (floats or pixel bytes) with labels y, by the
-    softmax head or NME, from forwards of _EVAL_ROWS rows (see
-    learner.forward_chunked)."""
+    """Accuracy on test rows X (floats or pixel bytes) with labels y, from
+    forwards of _EVAL_ROWS rows (see learner.forward_chunked).  With
+    class_means the rule is NME on penultimate features, else the softmax
+    head's argmax slot mapped to its class by slot_to_class."""
     if len(y) == 0:
         raise ConfigurationError("empty evaluation pool")
-    if classifier == "nme":
+    if class_means is None:
+        def predict(logits, _feats):
+            return np.asarray(slot_to_class)[np.argmax(logits, axis=1)]
+    else:
         if not class_means:
             raise ConfigurationError("nme classifier requires class means")
         classes = sorted(class_means)
@@ -268,10 +271,6 @@ def evaluate(
                 [np.linalg.norm(feats - class_means[c], axis=1) for c in classes], axis=1
             )
             return np.asarray(classes)[np.argmin(dist, axis=1)]
-    else:
-        def predict(logits, _feats):
-            pred = np.argmax(logits, axis=1)
-            return pred if slot_to_class is None else np.asarray(slot_to_class)[pred]
 
     pred = learner.forward_chunked(model, X, _EVAL_ROWS, predict)
     return float(np.mean(pred == y))
@@ -384,7 +383,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             slot_to_class, slot_of, rows = next(steps)
             if model is None:
                 model = learner.init_mlp(
-                    ds.dim, cfg.hidden_sizes, len(slot_to_class),
+                    ds.X_train.shape[1], cfg.hidden_sizes, len(slot_to_class),
                     _module_seed(cfg.seed, _SEED_MODEL),
                 )
             elif len(slot_to_class) > model.num_classes:
@@ -407,13 +406,9 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
             store, warnings = next(steps)
 
             seen = np.isin(ds.y_test, slot_to_class)
-            class_means = None
-            if cfg.classifier == "nme":
-                class_means = exemplar_class_means(model, ds.X_train, store)
-            acc = evaluate(
-                model, ds.X_test[seen], ds.y_test[seen], cfg.classifier, class_means,
-                slot_to_class,
-            )
+            means = (exemplar_class_means(model, ds.X_train, store)
+                     if cfg.classifier == "nme" else None)
+            acc = evaluate(model, ds.X_test[seen], ds.y_test[seen], slot_to_class, means)
             accuracies.append(acc)
             records.append(MetricsRecord(
                 task.task_index, acc, average_accuracy(accuracies), exemplar_count=store.total(),
@@ -510,9 +505,10 @@ def emit_results(result: RunResult, cfg: RunConfig, out_dir: str) -> None:
 
     Wall-clock goes to timings.csv only; the seconds column in metrics.csv
     is rounded to milliseconds and excluded from determinism guarantees.
-    Every file's content is built before any is written, and each is
-    written to a temporary name and renamed into place, so a failed emit
-    leaves no partial file and the files of an earlier run intact.
+    Every file's content is built before any is written, and every file
+    is written to a temporary name before the first is renamed into
+    place (see _write_files): a failed build or write leaves the files of
+    an earlier run intact.
     """
     lines = ["task,accuracy,avg_accuracy,exemplars,seconds"]
     timing = ["task,seconds"]
@@ -561,20 +557,21 @@ def _output_dir(out_dir: str):
 
 
 def _write_files(out_dir: str, files: dict[str, str]) -> None:
-    """Write each text to <name>.tmp in out_dir and rename it into place,
-    so a failed write or rename leaves no partial file and the earlier
-    file of that name intact."""
+    """Write every text to <name>.tmp in out_dir, then rename each into
+    place: a failed write changes no file, and only a failed rename can
+    leave the files before it replaced.  No temporary file is left."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in files.items():
-        path = os.path.join(out_dir, name)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w") as fh:
+    paths = [os.path.join(out_dir, name) for name in files]
+    try:
+        for path, text in zip(paths, files.values()):
+            with open(path + ".tmp", "w") as fh:
                 fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):  # only when the write or rename failed
-                os.remove(tmp)
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in paths:  # only when a write or rename failed
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
 
 
 def run_and_emit(cfg: RunConfig) -> RunResult:
@@ -599,7 +596,12 @@ def ablate_n(
 ) -> dict[tuple[int, int], float]:
     """Run the neighbor-count ablation over shared seeds; one combined CSV
     in cfg.out_dir.  Every run's config, and every seed's data and stream,
-    is checked, and cfg.out_dir created, before the first run trains."""
+    is checked, and cfg.out_dir created, before the first run trains.  A
+    value or seed listed twice is a ConfigurationError: it would repeat
+    a run."""
+    for name, items in (("value", values), ("seed", seeds)):
+        if len(set(items)) < len(items):
+            raise ConfigurationError(f"ablation {name}s repeat: {list(items)}")
     runs = [
         (n, seed, dataclasses.replace(
             cfg,

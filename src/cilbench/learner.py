@@ -41,7 +41,6 @@ class MlpModel:
 @dataclass
 class TeacherSnapshot:
     model: MlpModel
-    num_classes: int
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,7 @@ def init_mlp(
 def snapshot_teacher(model: MlpModel) -> TeacherSnapshot:
     """The frozen teacher: a new model object over the same arrays (nothing
     writes them; see the module docstring)."""
-    model = MlpModel(weights=list(model.weights), biases=list(model.biases))
-    return TeacherSnapshot(model=model, num_classes=model.num_classes)
+    return TeacherSnapshot(MlpModel(weights=list(model.weights), biases=list(model.biases)))
 
 
 def grow_head(model: MlpModel, q_new: int, seed: int) -> MlpModel:
@@ -312,9 +310,9 @@ def train_task(
         raise ShapeError(f"{len(X)} feature rows but {len(y)} labels")
     if np.any((y < 0) | (y >= model.num_classes)):
         raise ShapeError("label outside model head")
-    if teacher is not None and teacher.num_classes > model.num_classes:
+    if teacher is not None and teacher.model.num_classes > model.num_classes:
         raise ShapeError(
-            f"teacher head {teacher.num_classes} wider than student head {model.num_classes}"
+            f"teacher head {teacher.model.num_classes} wider than student head {model.num_classes}"
         )
 
     # the trained model's arrays are views into one buffer, a copy of the

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import inspect
 import json
 import math
@@ -63,18 +64,18 @@ class TestEvaluate:
         ds = make_blobs(BlobsSpec(2, 20, dim=2, spread=0.1, center_box=20.0), 3)
         # constant predictor: all-zero network always yields class 0
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
-        assert evaluate(zero, ds.X_test, ds.y_test) == 0.5
+        assert evaluate(zero, ds.X_test, ds.y_test, [0, 1]) == 0.5
 
     def test_empty_pool(self):
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
         with pytest.raises(ConfigurationError):
-            evaluate(zero, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+            evaluate(zero, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), [0, 1])
 
     def test_nme_requires_means(self):
         zero = MlpModel(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
         ds = make_blobs(BlobsSpec(2, 10), 0)
         with pytest.raises(ConfigurationError):
-            evaluate(zero, ds.X_test, ds.y_test, classifier="nme")
+            evaluate(zero, ds.X_test, ds.y_test, [0, 1], class_means={})
 
     # evaluate forwards TrainConfig.batch_size (128) rows at a time
     @pytest.mark.parametrize("n", [20, 128, 256, 257])
@@ -94,7 +95,8 @@ class TestEvaluate:
         else:
             want = np.asarray(slot_to_class)[np.argmax(logits, axis=1)]
         assert len(np.unique(want)) > 1
-        assert evaluate(model, pool, want, classifier, means, slot_to_class) == 1.0
+        means = means if classifier == "nme" else None
+        assert evaluate(model, pool, want, slot_to_class, means) == 1.0
 
     @staticmethod
     def _evaluate_peak(pool, classifier, hidden):
@@ -102,11 +104,11 @@ class TestEvaluate:
         y = np.zeros(len(pool), dtype=np.int64)
         model = init_mlp(3072, hidden, 10, seed=2)
         width = model.weights[-1].shape[0]
-        means = {c: np.full(width, c / 10) for c in range(10)}
-        evaluate(model, pool[:10], y[:10], classifier, means)  # numpy's lazy imports
+        means = {c: np.full(width, c / 10) for c in range(10)} if classifier == "nme" else None
+        evaluate(model, pool[:10], y[:10], list(range(10)), means)  # numpy's lazy imports
         tracemalloc.start()
         try:
-            evaluate(model, pool, y, classifier, means)
+            evaluate(model, pool, y, list(range(10)), means)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,6 +420,34 @@ class TestResultFiles:
         assert not (fresh / "exemplars.json").exists()
         assert not fresh.exists() or not list(fresh.iterdir())
 
+    def test_failed_write_changes_no_file(self, tmp_path, monkeypatch):
+        run_and_emit(small_config(out_dir=str(tmp_path)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other = run_experiment(small_config(seed=1))
+        opened = []
+
+        def open_failing_third(path, *args, **kwargs):
+            opened.append(path)
+            if len(opened) == 3:  # config.json.tmp: the disk is full
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", open_failing_third, raising=False)
+        with pytest.raises(OSError):
+            emit_results(other, small_config(seed=1), str(tmp_path))
+        assert [os.path.basename(p) for p in opened] == [
+            "metrics.csv.tmp", "timings.csv.tmp", "config.json.tmp"
+        ]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_ablation_rejects_a_repeated_value_or_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
+        cfg = small_config(out_dir=str(tmp_path / "abl"))
+        for values, seeds in [([0, 0], [1]), ([0, 2], [1, 1])]:
+            with pytest.raises(ConfigurationError, match="repeat"):
+                ablate_n(cfg, values, seeds)
+        assert not (tmp_path / "abl").exists()
+
     def test_failed_ablation_write_keeps_earlier_csv(self, tmp_path, monkeypatch):
         cfg = small_config(train=TrainConfig(epochs=2, batch_size=16), out_dir=str(tmp_path))
         ablate_n(cfg, [0], [1])
@@ -719,9 +749,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [["--values", "a,b"], ["--values", ""], ["--seeds", "x"],
-         ["--values", "0,-1"], ["--seeds", "1,-1"]],
+         ["--values", "0,-1"], ["--seeds", "1,-1"], ["--values", "0,0"], ["--seeds", "1,1"]],
         ids=["values-not-ints", "values-empty", "seeds-not-ints", "negative-n",
-             "negative-seed"],
+             "negative-seed", "repeated-n", "repeated-seed"],
     )
     def test_bad_ablation_exits_2_before_training(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))

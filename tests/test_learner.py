@@ -497,7 +497,7 @@ class TestSharedWeights:
         model = init_mlp(4, (8,), 3, seed=11)
         snap = snapshot_teacher(model)
         assert snap.model is not model
-        assert snap.num_classes == 3
+        assert snap.model.num_classes == 3
         assert all(a is b for a, b in zip(snap.model.weights + snap.model.biases,
                                            model.weights + model.biases))
 

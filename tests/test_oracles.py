@@ -89,7 +89,7 @@ def test_batched_nme_matches_per_row_oracle():
         class_means = {int(c): m for c, m in zip(class_ids, means)}
 
         expected = np.array([oracles.nme_classify(x, class_means) for x in X])
-        acc = evaluate(_identity_model(dim), X, expected, "nme", class_means)
+        acc = evaluate(_identity_model(dim), X, expected, list(class_means), class_means)
         assert acc == 1.0, f"trial {trial}: batched NME disagrees on {1 - acc:.0%} of rows"
 
         d = np.linalg.norm(X[:, None, :] - means[None, :, :], axis=2)

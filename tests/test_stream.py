@@ -44,7 +44,7 @@ class TestCifarLoader:
         assert len(ds.train) == 50
         # the class count follows the largest fine label in the file
         assert ds.num_classes == 1 + max(fine for _, fine, _ in records)
-        assert ds.dim == 3072
+        assert ds.X_train.shape[1] == 3072
 
     def test_pixel_scaling(self, tmp_path):
         path = tmp_path / "one.bin"
