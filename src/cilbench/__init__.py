@@ -31,6 +31,7 @@ from .harness import (
     emit_results,
     evaluate,
     run_experiment,
+    run_tasks,
 )
 from .learner import (
     LossConfig,
@@ -88,6 +89,7 @@ __all__ = [
     "pca_reduce",
     "random_sample",
     "run_experiment",
+    "run_tasks",
     "train_task",
     "tsne_reduce",
     "verify_selection",

@@ -26,16 +26,14 @@ from .selfcheck import run_selfcheck
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type of a comma-separated list of distinct integers; a bad
-    list is a usage error (exit 2) before any config is read."""
+    """argparse type of a comma-separated list of integers; a bad list is
+    a usage error (exit 2) before any config is read."""
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-    if len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"a value is listed twice in {text!r}")
     return values
 
 

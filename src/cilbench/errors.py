@@ -1,9 +1,10 @@
 """Exception types shared across the workbench.
 
 The CLI maps ConfigurationError to exit code 2, DataError to exit code 3
-and DivergenceError to exit code 4 (after writing the result files of the
-tasks that finished before the divergence); everything else is a plain
-crash.
+and DivergenceError to exit code 4; harness.run_and_emit has by then
+written the result files of the tasks that finished before the
+divergence, the last RunResult harness.run_tasks yielded.  Everything
+else is a plain crash.
 """
 
 
@@ -24,13 +25,8 @@ class ShapeError(CilbenchError):
 
 
 class DivergenceError(CilbenchError):
-    """Training produced a non-finite loss.
-
-    run_experiment sets partial to the RunResult of the tasks finished
-    before the diverged one (None when the first task diverged).
-    """
+    """Training produced a non-finite loss."""
 
     def __init__(self, epoch: int):
         super().__init__(f"non-finite loss at epoch {epoch}")
         self.epoch = epoch
-        self.partial = None

@@ -5,14 +5,16 @@ The exemplar memory is a function of the stream, the data and the config,
 never of the model: pools come from stream rows and stored rows,
 embeddings from pool rows, quotas from slot counts, and the random
 sampler draws from derived seeds.  So memory_steps owns it and reads no
-model, and run_experiment trains and evaluates over it, reading the
-memory only for the rows to train on and their head slots, the NME means
-and the classes accuracy covers.  memory_steps yields twice per task:
-before training, the head slots and the rows to train on, with the class
+model, and run_tasks trains and evaluates over it, reading the memory
+only for the rows to train on and their head slots, the NME means and the
+classes accuracy covers.  memory_steps yields twice per task: before
+training, the head slots and the rows to train on, with the class
 embeddings set up and their t-SNE descents running in a forked child
-where a core would otherwise idle (see _fork_pays); after training, the
-updated store.  Tasks run one after another, as each trains the previous
-model; independent replicate runs share no state and may run concurrently.
+where a core would otherwise idle (see _fork_pays); after training, a new
+store.  run_tasks yields a RunResult after each finished task, and no
+store or RunResult changes once yielded.  Tasks run one after another, as
+each trains the previous model; independent replicate runs share no state
+and may run concurrently.
 """
 
 from __future__ import annotations
@@ -302,9 +304,9 @@ def memory_steps(cfg: RunConfig, ds: Dataset, tasks: list[TaskBatch]):
     (1) once the task's embeddings are set up, so rows that cannot be
     embedded fail before the task trains: the classes by head slot, the
     class -> slot array, and the rows to train on (the task's rows and the
-    unshrunk memory of earlier tasks), while the t-SNE descents run; and
-    (2) when resumed after training: the shrunk and re-selected store and
-    the task's warnings."""
+    previous store's), while the t-SNE descents run; and (2) when resumed
+    after training: a new store, which no later task changes, and the
+    task's warnings.  Only the diverse sampler embeds its pools."""
     store = ExemplarStore(budget=cfg.memory_budget)
     slot_to_class: list[int] = []
     slot_of = np.full(ds.num_classes, -1, dtype=np.int64)  # class -> head slot
@@ -319,24 +321,27 @@ def memory_steps(cfg: RunConfig, ds: Dataset, tasks: list[TaskBatch]):
 
         # a class present here is re-selected from its rows in this task, in
         # stream order and each once (a fuzzy task may draw a row twice), then
-        # the stored rows it keeps through this task's shrink; so 1-3 stray
-        # rows of an old class in a fuzzy task do not replace its quota, and
-        # a new class's pool is its task rows
+        # the prefix of its quota it keeps from the previous store; so 1-3
+        # stray rows of an old class in a fuzzy task do not replace its
+        # quota, and a new class's pool is its task rows
         order = np.argsort(task_rows, kind="stable")
         repeat = np.zeros(len(task_rows), dtype=bool)
         repeat[order[1:]] = task_rows[order[1:]] == task_rows[order[:-1]]
         quotas = allocate_quota(cfg.memory_budget, len(slot_to_class))
+        kept = {cls: rows[: quotas[slot_of[cls]]] for cls, rows in store.train_indices.items()}
         pools = []
         for cls in labels_here:
             rows_c = task_rows[(task_labels == cls) & ~repeat]
-            kept = store.train_indices.get(cls, np.zeros(0, np.int64))[: quotas[slot_of[cls]]]
-            pools.append(np.concatenate([rows_c, kept[~np.isin(kept, rows_c)]]))
+            prefix = kept.get(cls, np.zeros(0, np.int64))
+            pools.append(np.concatenate([rows_c, prefix[~np.isin(prefix, rows_c)]]))
         # an embedding depends on its pool's rows only, so it is set up (bad
         # rows fail) before training; the feature rows are freed here
         embeddings = [
-            _reduce_class(cfg, as_features(ds.X_train[pool], np.float64)) for pool in pools
+            _reduce_class(cfg, as_features(ds.X_train[pool], np.float64))
+            if cfg.sampler_kind == "diverse" else None
+            for pool in pools
         ]
-        pending = [emb for emb in embeddings if emb.pending is not None]
+        pending = [emb for emb in embeddings if emb is not None and emb.pending is not None]
         stored = [store.train_indices[c] for c in sorted(store.train_indices)]
         with _ForkedCall(lambda: [tsne_descent(emb) for emb in pending],
                          fork=bool(pending) and _fork_pays()) as descents:
@@ -344,28 +349,30 @@ def memory_steps(cfg: RunConfig, ds: Dataset, tasks: list[TaskBatch]):
             for emb, (points, kl_trace) in zip(pending, descents.result()):
                 finish_tsne(emb, points, kl_trace)
 
-        # shrink every class, then re-select the classes present from their
-        # pools; training rehearsed the unshrunk memory
-        for cls in list(store.train_indices):
-            store.shrink_class(cls, quotas[slot_of[cls]])
+        # every stored class keeps the prefix of its quota, then the classes
+        # present are re-selected from their pools; training rehearsed the
+        # previous store
+        store = ExemplarStore(cfg.memory_budget, kept)
         warnings = list(task.warnings)
         for cls, pool, emb in zip(labels_here, pools, embeddings):
-            warnings += [f"class {cls}: {w}" for w in emb.warnings]
             quota = min(quotas[slot_of[cls]], len(pool))
-            if cfg.sampler_kind == "random":
+            if emb is None:  # the random sampler
                 picked = sampler.random_sample(
                     len(pool), quota, _module_seed(cfg.seed, _SEED_SAMPLE, task.task_index, cls)
                 )
             else:
+                warnings += [f"class {cls}: {w}" for w in emb.warnings]
                 params = dataclasses.replace(cfg.sampler_params, m=quota)
                 picked = sampler.diverse_sample(emb, params)
             store.set_class(cls, pool[picked], ds.y_train)
         yield store, warnings
 
 
-def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
-    """Run the full class-incremental loop over the configured stream:
-    train and evaluate each task on the memory memory_steps hands over."""
+def run_tasks(cfg: RunConfig, dataset: Dataset | None = None):
+    """The class-incremental loop over the configured stream: train and
+    evaluate each task on the memory memory_steps hands over, and yield a
+    RunResult of the tasks so far after each one finishes.  A yielded
+    RunResult holds its own records, and nothing changes it later."""
     cfg.validate()
     ds = dataset if dataset is not None else load_dataset(cfg)
     tasks = _checked_stream(cfg, ds)
@@ -374,7 +381,6 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
     teacher: learner.TeacherSnapshot | None = None
     records: list[MetricsRecord] = []
     accuracies: list[float] = []
-    finished: RunResult | None = None  # the state after the last finished task
 
     # closed on any exception, so a forked descent never outlives the run
     with contextlib.closing(memory_steps(cfg, ds, tasks)) as steps:
@@ -391,17 +397,11 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                     model, len(slot_to_class) - model.num_classes,
                     _module_seed(cfg.seed, _SEED_MODEL, task.task_index),
                 )
-            try:
-                model, _trace = learner.train_task(
-                    model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
-                    seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
-                    lcfg=cfg.loss, tcfg=cfg.train,
-                )
-            except DivergenceError as exc:
-                # the store changes only on the next step, so it still holds
-                # the memory of the finished tasks
-                exc.partial = finished
-                raise
+            model, _trace = learner.train_task(
+                model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
+                seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
+                lcfg=cfg.loss, tcfg=cfg.train,
+            )
             teacher = learner.snapshot_teacher(model)
             store, warnings = next(steps)
 
@@ -414,8 +414,14 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
                 task.task_index, acc, average_accuracy(accuracies), exemplar_count=store.total(),
                 seconds=time.perf_counter() - t0, warnings=warnings,
             ))
-            finished = RunResult(records, store, model, class_order_seen=list(slot_to_class))
-    return finished
+            yield RunResult(list(records), store, model, class_order_seen=list(slot_to_class))
+
+
+def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> RunResult:
+    """The RunResult of every task of the configured stream (see run_tasks)."""
+    for result in run_tasks(cfg, dataset):
+        pass
+    return result
 
 
 def exemplar_class_means(
@@ -578,14 +584,17 @@ def run_and_emit(cfg: RunConfig) -> RunResult:
     """Run the experiment and write its result files into cfg.out_dir,
     which is created before any training (see _output_dir).  A run that
     diverges after its first task writes the files of the tasks it
-    finished, then re-raises the DivergenceError."""
+    finished, the last RunResult run_tasks yielded, then re-raises the
+    DivergenceError."""
     cfg.validate()  # cfg.out_dir is a string from here on
     with _output_dir(cfg.out_dir):
+        result = None
         try:
-            result = run_experiment(cfg)
-        except DivergenceError as exc:
-            if exc.partial is not None:
-                emit_results(exc.partial, cfg, cfg.out_dir)
+            for result in run_tasks(cfg):
+                pass
+        except DivergenceError:
+            if result is not None:
+                emit_results(result, cfg, cfg.out_dir)
             raise
         emit_results(result, cfg, cfg.out_dir)
     return result

@@ -242,15 +242,6 @@ class ExemplarStore:
             raise ConfigurationError("exemplar store exceeded its budget")
         self.train_indices[cls] = rows
 
-    def shrink_class(self, cls: int, new_quota: int) -> None:
-        """Keep the first new_quota exemplars.  Selection order makes every
-        prefix a diverse selection in itself, so truncation is safe."""
-        if new_quota < 1:
-            raise ConfigurationError("new_quota must be >= 1")
-        if cls not in self.train_indices:
-            raise ConfigurationError(f"class {cls} has no exemplars to shrink")
-        self.train_indices[cls] = self.train_indices[cls][:new_quota]
-
     def to_json(self) -> str:
         classes = [{"class": c, "indices_into_train": self.train_indices[c].tolist()}
                    for c in sorted(self.train_indices)]

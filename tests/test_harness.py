@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import inspect
@@ -660,6 +661,12 @@ class TestCli:
         stored = json.loads((out / "exemplars.json").read_text())["classes"]
         assert len(stored) == 2
         assert sum(len(c["indices_into_train"]) for c in stored) == int(rows[1].split(",")[3])
+        ds = load_dataset(cfg)
+        tasks = harness._checked_stream(cfg, ds)
+        with contextlib.closing(harness.memory_steps(cfg, ds, tasks)) as steps:
+            next(steps)
+            task_0_store, _warnings = next(steps)
+        assert (out / "exemplars.json").read_bytes() == task_0_store.to_json().encode()
 
     def test_data_error_exit_code(self, tmp_path):
         truncated = tmp_path / "bad.bin"
@@ -871,6 +878,15 @@ class TestForkedDescent:
             assert sum(emb.kl_trace is None for emb in embeddings) == 1
         assert self.files(tmp_path / "False") == self.files(tmp_path / "True")
 
+    def test_random_run_sets_up_no_embedding(self, tmp_path, monkeypatch):
+        # the random sampler reads only a pool's length: no t-SNE, no fork
+        cfg = self.tsne_config(sampler_kind="random")
+        _, embeddings, forks = self.run(monkeypatch, cfg, tmp_path / "tsne", fork=True)
+        assert (embeddings, forks) == ([], 0)
+        none = dataclasses.replace(cfg, reducer="none")
+        self.run(monkeypatch, none, tmp_path / "none", fork=True)
+        assert self.files(tmp_path / "tsne") == self.files(tmp_path / "none")
+
     write_config = TestCli.write_config
 
     def test_divergence_in_task_1_kills_the_child_and_keeps_task_0(
@@ -902,10 +918,9 @@ class TestForkedDescent:
 
         monkeypatch.setattr(learner, "train_task", diverge)
         monkeypatch.setattr(harness, "_fork_pays", lambda: True)
-        with pytest.raises(DivergenceError) as caught:
+        with pytest.raises(DivergenceError):
             run_experiment(self.tsne_config())
         _no_child_left()
-        assert caught.value.partial is None
 
     def test_data_error_in_the_child_exits_3(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

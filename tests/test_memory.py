@@ -1,6 +1,7 @@
 """The exemplar memory as harness.memory_steps builds it with no training:
 it equals the memory of runs that train, whatever the training set-up,
-and the memory_reference oracle's at every task."""
+and the memory_reference oracle's at every task; and no store it yields,
+or RunResult run_tasks yields, changes afterwards."""
 
 import contextlib
 import dataclasses
@@ -57,6 +58,25 @@ def test_memory_does_not_depend_on_training(kind, stream):
     last = memory_trajectory(cfg, ds, harness._checked_stream(cfg, ds))[-1]
     assert run_experiment(cfg).store.to_json() == last
     assert run_experiment(other).store.to_json() == last
+
+
+@pytest.mark.parametrize("stream", [None, StreamSpec("fuzzy", 2, 20)], ids=["disjoint", "fuzzy"])
+def test_nothing_yielded_changes_afterwards(stream):
+    cfg = small_config() if stream is None else small_config(stream=stream)
+    ds = load_dataset(cfg)
+    tasks = harness._checked_stream(cfg, ds)
+    stores = []  # (store, its json when yielded)
+    with contextlib.closing(memory_steps(cfg, ds, tasks)) as steps:
+        for _ in tasks:
+            next(steps)
+            store, _warnings = next(steps)
+            stores.append((store, store.to_json()))
+    assert len(stores) == len(tasks) == 2
+    assert [s.to_json() for s, _ in stores] == [when for _, when in stores]
+    results = [(r, r.store.to_json(), len(r.records)) for r in harness.run_tasks(cfg, ds)]
+    assert ([(r.store.to_json(), len(r.records)) for r, _, _ in results]
+            == [(when, n) for _, when, n in results])
+    assert [n for _, _, n in results] == [1, 2]
 
 
 def _shortfall_config(kind="diverse"):

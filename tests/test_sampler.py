@@ -241,21 +241,6 @@ class TestMemory:
         with pytest.raises(ConfigurationError):
             allocate_quota(5, 6)
 
-    def test_shrink_keeps_prefix(self):
-        store = ExemplarStore(budget=100)
-        store.set_class(0, list(range(50)), np.zeros(50, dtype=np.int64))
-        store.shrink_class(0, 20)
-        assert store.train_indices[0].tolist() == list(range(20))
-
-    def test_shrink_noop_cases(self):
-        store = ExemplarStore(budget=10)
-        store.set_class(1, [0], np.array([1]))
-        store.shrink_class(1, 5)
-        assert len(store.train_indices[1]) == 1
-        with pytest.raises(ConfigurationError, match="no exemplars"):
-            store.shrink_class(7, 3)  # absent class
-        assert list(store.train_indices) == [1]
-
     def test_greedy_prefix_property(self):
         # shrinking a size-50 greedy selection to 20 equals rerunning at m=20
         rng = np.random.default_rng(2)
