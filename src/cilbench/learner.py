@@ -49,7 +49,7 @@ class LossConfig:
     beta: float = 0.5
 
     def validate(self) -> None:
-        if self.temperature <= 1.0:
+        if not self.temperature > 1:
             raise ConfigurationError("temperature must be > 1")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigurationError("beta must be in [0, 1]")
@@ -65,8 +65,10 @@ class TrainConfig:
     def validate(self) -> None:
         if min(self.epochs, self.batch_size) < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.momentum < 0:
-            raise ConfigurationError("learning_rate must be > 0, momentum >= 0")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("learning_rate must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError("momentum must be in [0, 1)")
 
 
 def init_mlp(
@@ -150,19 +152,27 @@ def backprop(
     acts: list[np.ndarray],
     dlogits: np.ndarray,
     grads: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    work: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of sum(dlogits * logits) w.r.t. each (W, b), written into
-    grads (one pair of arrays shaped like each layer's, allocated when None)."""
+    grads (one pair of arrays shaped like each layer's, allocated when None).
+    work[k - 1] holds the delta backpropagated into hidden layer k and its
+    ReLU mask: a float and a bool array shaped like acts[k] (allocated
+    when None)."""
     if grads is None:
         grads = [(np.empty_like(W), np.empty_like(b)) for W, b in zip(model.weights, model.biases)]
+    if work is None:
+        work = [(np.empty_like(a), np.empty(a.shape, bool)) for a in acts[1:]]
     delta = dlogits
     for k in range(len(model.weights) - 1, -1, -1):
         gW, gb = grads[k]
         np.matmul(acts[k].T, delta, out=gW)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if k > 0:
-            delta = delta @ model.weights[k].T
-            delta *= acts[k] > 0
+            below, relu = work[k - 1]
+            np.matmul(delta, model.weights[k].T, out=below)
+            np.multiply(below, np.greater(acts[k], 0, out=relu), out=below)
+            delta = below
     return grads
 
 
@@ -170,10 +180,14 @@ def backprop(
 # Losses
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_inplace(z: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of each row of the 2-D array z, written over z and returned;
+    col is an (rows, 1) column for the row maxima and sums (allocated
+    when None)."""
+    col = np.empty((len(z), 1), z.dtype) if col is None else col
+    np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True, out=col), out=z)
+    np.exp(z, out=z)
+    return np.divide(z, np.add.reduce(z, axis=1, keepdims=True, out=col), out=z)
 
 
 def forward_chunked(
@@ -215,42 +229,83 @@ def teacher_targets(
     """softmax(teacher logits / temperature) for every row of X, from
     forwards of exactly min(chunk, len(X)) rows (see forward_chunked)."""
     return forward_chunked(
-        teacher.model, X, chunk, lambda logits, _: softmax(logits / temperature)
+        teacher.model, X, chunk, lambda logits, _: _softmax_inplace(logits / temperature)
     )
 
 
-def _loss_and_grads(
-    model: MlpModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    p_t: np.ndarray | None,
-    lcfg: LossConfig,
-    grads: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean per-example loss over rows X with in-range labels y, given the
-    teacher's distilled targets p_t (None: cross-entropy only), and its
-    gradients written into grads."""
-    logits, acts = forward_batch(model, X)
-    n = len(y)
-    rows = np.arange(n)
-    probs = softmax(logits)
-    ce = -np.log(np.maximum(probs[rows, y], _PROB_FLOOR))
-    dlogits = probs  # probs - onehot(y), in place
-    dlogits[rows, y] -= 1.0
+class _Workspace:
+    """The arrays a training step of `rows` rows writes besides the model's
+    gradients, made once per task: a column for each softmax's row maxima
+    and row sums, the labels' entries of the logit gradient, the
+    distillation part of it (rows x teacher slots) and backprop's deltas
+    and ReLU masks.  The step's scalars are 0-d arrays of the training
+    dtype, which numpy's elementwise calls take fastest (faster than a
+    Python float or a numpy scalar)."""
 
+    def __init__(self, model: MlpModel, rows: int, slots: int, lcfg: LossConfig, dtype):
+        self.col = np.empty((rows, 1), dtype)
+        self.label = np.empty(rows, dtype)
+        self.distill = np.empty((rows, slots), dtype)
+        self.backprop = [
+            (np.empty((rows, len(W)), dtype), np.empty((rows, len(W)), bool))
+            for W in model.weights[1:]
+        ]
+        self.rows, self.one = np.array(rows, dtype), np.array(1.0, dtype)
+        self.T, self.beta, self.rest = (
+            np.array(v, dtype) for v in (lcfg.temperature, lcfg.beta, 1.0 - lcfg.beta)
+        )
+
+
+def _step(
+    model: MlpModel,
+    ws: _Workspace,
+    X: np.ndarray,
+    label_at: np.ndarray,
+    p_t: np.ndarray | None,
+    grads: list[tuple[np.ndarray, np.ndarray]] | None,
+    p_label: np.ndarray,
+    p_s: np.ndarray | None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The gradients of the mean loss over rows X, written into grads (see
+    backprop); label_at indexes each row's label in the flattened logits,
+    and p_t holds the teacher's distilled targets (None: cross-entropy
+    only).  Each row's probability of its label goes into p_label and,
+    with p_t, its distilled probabilities into p_s: _row_losses turns
+    them into the loss."""
+    logits, acts = forward_batch(model, X)
+    if p_t is not None:
+        np.divide(logits[:, : p_s.shape[1]], ws.T, out=p_s)
+        _softmax_inplace(p_s, ws.col)
+    dlogits = _softmax_inplace(logits, ws.col)
+    flat = dlogits.reshape(-1)
+    flat.take(label_at, out=p_label)
+    flat[label_at] = np.subtract(p_label, ws.one, out=ws.label)  # probs - onehot(labels)
+    if p_t is not None:
+        dlogits *= ws.rest
+        distill = np.subtract(p_s, p_t, out=ws.distill)
+        distill *= ws.beta
+        distill /= ws.T
+        dlogits[:, : p_s.shape[1]] += distill
+    dlogits /= ws.rows
+    return backprop(model, acts, dlogits, grads, ws.backprop)
+
+
+def _row_losses(
+    lcfg: LossConfig, p_label: np.ndarray, p_s: np.ndarray | None, p_t: np.ndarray | None
+) -> np.ndarray:
+    """Each row's loss, beta * kd + (1 - beta) * ce (ce alone without teacher
+    targets p_t), from the terms _step recorded; written over them."""
+    ce = np.log(np.maximum(p_label, _PROB_FLOOR, out=p_label), out=p_label)
+    np.negative(ce, out=ce)
     if p_t is None:
-        loss = float(ce.mean())
-        dlogits /= n
-    else:
-        T = lcfg.temperature
-        ell = p_t.shape[1]
-        p_s = softmax(logits[:, :ell] / T)
-        kd = -np.sum(p_t * np.log(np.maximum(p_s, _PROB_FLOOR)), axis=1)
-        loss = float((lcfg.beta * kd + (1.0 - lcfg.beta) * ce).mean())
-        dlogits *= 1.0 - lcfg.beta
-        dlogits[:, :ell] += lcfg.beta * (p_s - p_t) / T
-        dlogits /= n
-    return loss, backprop(model, acts, dlogits, grads)
+        return ce
+    log_s = np.log(np.maximum(p_s, _PROB_FLOOR, out=p_s), out=p_s)
+    kd = np.add.reduce(np.multiply(p_t, log_s, out=log_s), axis=1)
+    np.negative(kd, out=kd)
+    kd *= lcfg.beta
+    ce *= 1.0 - lcfg.beta
+    kd += ce
+    return kd
 
 
 def batch_loss_and_grads(
@@ -260,12 +315,21 @@ def batch_loss_and_grads(
     teacher: TeacherSnapshot | None,
     lcfg: LossConfig,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean per-example loss over the batch and its analytic gradients."""
+    """Mean per-example loss over the batch and its analytic gradients, as
+    one training step computes them (in the model's dtype)."""
     y = np.asarray(y)
     if np.any((y < 0) | (y >= model.num_classes)):
         raise ShapeError("label outside model head")
-    p_t = None if teacher is None else teacher_targets(teacher, X, lcfg.temperature, len(X))
-    return _loss_and_grads(model, X, y, p_t, lcfg)
+    dtype = model.weights[0].dtype
+    p_t = p_s = None
+    if teacher is not None:
+        p_t = teacher_targets(teacher, X, lcfg.temperature, len(X)).astype(dtype, copy=False)
+        p_s = np.empty_like(p_t)
+    p_label = np.empty(len(y), dtype)
+    ws = _Workspace(model, len(y), 0 if p_t is None else p_t.shape[1], lcfg, dtype)
+    label_at = np.arange(len(y)) * model.num_classes + y
+    grads = _step(model, ws, X, label_at, p_t, None, p_label, p_s)
+    return float(_row_losses(lcfg, p_label, p_s, p_t).mean()), grads
 
 
 def _layer_views(flat: np.ndarray, model: MlpModel) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -329,35 +393,52 @@ def train_task(
     grad = np.empty_like(flat)
     grads = _layer_views(grad, model)
     vel = np.zeros_like(flat)
+    momentum, lr = np.array(tcfg.momentum, dtype), np.array(tcfg.learning_rate, dtype)
 
     # the teacher's targets for a full batch come from one pass per task; a
     # short last batch gets a forward of its own shape (see teacher_targets)
-    full = min(tcfg.batch_size, len(y))
-    p_t = None
+    n = len(y)
+    full = min(tcfg.batch_size, n)
+    slots = 0 if teacher is None else teacher.model.num_classes
+    workspaces = {
+        rows: _Workspace(model, rows, slots, lcfg, dtype) for rows in {full, n % full or full}
+    }
+    pixels = X.dtype == np.uint8
+    if not pixels:
+        X = as_features(X)
+    p_t = p_t_epoch = p_s = None
     if teacher is not None:
         p_t = teacher_targets(teacher, X, lcfg.temperature, full).astype(dtype, copy=False)
+        p_t_epoch, p_s = np.empty_like(p_t), np.empty_like(p_t)
+    # a step records its rows' loss terms at their places in the epoch's
+    # order; the loss is computed from them once the epoch is done.  Each
+    # place's row starts at row_at in its batch's flattened logits.
+    p_label = np.empty(n, dtype)
+    row_at = np.arange(n) % full * model.num_classes
+    batches = [slice(start, start + full) for start in range(0, n, full)]
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(y))
-        losses = []
-        for start in range(0, len(y), tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            xb = as_features(X[batch])
-            if p_t is None:
-                targets = None
-            elif len(batch) == full:
-                targets = p_t[batch]
-            else:
-                targets = teacher_targets(teacher, xb, lcfg.temperature, len(batch))
-                targets = targets.astype(dtype, copy=False)
-            loss, _ = _loss_and_grads(model, xb, y[batch], targets, lcfg, grads)
-            losses.append(loss * len(batch))
-            vel *= tcfg.momentum
+        order = rng.permutation(n)
+        label_at = row_at + y[order]
+        if p_t is not None:
+            np.take(p_t, order, axis=0, out=p_t_epoch)
+        for rows in batches:
+            batch = order[rows]
+            xb = as_features(X[batch]) if pixels else X[batch]
+            targets = None if p_t is None else p_t_epoch[rows]
+            if targets is not None and len(batch) != full:
+                targets[...] = teacher_targets(teacher, xb, lcfg.temperature, len(batch))
+            _step(model, workspaces[len(batch)], xb, label_at[rows], targets, grads,
+                  p_label[rows], None if p_s is None else p_s[rows])
+            vel *= momentum
             vel += grad
-            np.multiply(vel, tcfg.learning_rate, out=grad)
+            np.multiply(vel, lr, out=grad)
             flat -= grad
-        epoch_loss = float(np.sum(losses) / len(y))
+        row_loss = _row_losses(lcfg, p_label, p_s, p_t_epoch)
+        parts = [row_loss[rows] for rows in batches]
+        losses = [float(part.mean()) * len(part) for part in parts]
+        epoch_loss = float(np.sum(losses) / n)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)
         trace.append(epoch_loss)

@@ -529,6 +529,8 @@ class TestCli:
             {"blobs": {"dim": 0}},
             {"tsne": {"learning_rate": -200.0}},
             {"tsne": {"momentum_final": 5.0}},
+            {"train": {"momentum": 1.0}},
+            {"train": {"momentum": 5.0}},
             # seeds and the t-SNE dimension are derived, not configured
             {"stream": {"mode": "disjoint", "classes_per_task": 2, "seed": 3}},
             {"train": {"seed": 3}},
@@ -549,7 +551,8 @@ class TestCli:
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
              "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
-             "tsne-negative-lr", "tsne-momentum-above-one", "stream-seed", "train-seed",
+             "tsne-negative-lr", "tsne-momentum-above-one", "train-momentum-one",
+             "train-momentum-above-one", "stream-seed", "train-seed",
              "tsne-seed", "tsne-target-dim", "tsne-init", "fuzzy-zero-fuzz",
              "sampler-gonzalez", "blobs-one-class", "cifar-without-test-path",
              "cifar-negative-blobs-spread", "reducer-umap"],

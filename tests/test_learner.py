@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cilbench import learner
-from cilbench.errors import ConfigurationError, DataError, ShapeError
+from cilbench.errors import ConfigurationError, DataError, DivergenceError, ShapeError
 from cilbench.learner import (
     LossConfig,
     MlpModel,
@@ -274,6 +274,30 @@ class TestTraining:
             )
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            LossConfig(temperature=1.0), LossConfig(temperature=math.nan),
+            LossConfig(beta=-0.1), LossConfig(beta=1.1), LossConfig(beta=math.nan),
+            TrainConfig(epochs=0), TrainConfig(batch_size=0),
+            TrainConfig(learning_rate=0.0), TrainConfig(learning_rate=math.nan),
+            TrainConfig(momentum=-0.1), TrainConfig(momentum=1.0), TrainConfig(momentum=5.0),
+            TrainConfig(momentum=math.nan),
+        ],
+        ids=repr,
+    )
+    def test_out_of_range_rejected(self, cfg):
+        with pytest.raises(ConfigurationError):
+            cfg.validate()
+
+    def test_range_edges_accepted(self):
+        LossConfig(temperature=1.0 + 1e-9, beta=0.0).validate()
+        LossConfig(beta=1.0).validate()
+        TrainConfig(epochs=1, batch_size=1, learning_rate=1e-12, momentum=0.0).validate()
+        TrainConfig(momentum=0.999).validate()
+
+
 def _task(n, dim, dtype, seed):
     """n rows in two blobs (2-D) or uniform pixels (wider), labels in 0..5."""
     rng = np.random.default_rng(seed)
@@ -360,6 +384,55 @@ class TestTrainingBitExact:
         # every row in -(-n // full) forwards of `full` rows, then one forward
         # per epoch of the short last batch
         assert teacher_rows == [full] * -(-n // full) + [n % full] * epochs * (n % full > 0)
+
+    # the benchmark workloads' shapes: hidden (128, 64), a 10-slot head and an
+    # 8-slot teacher.  (rows, input width, dtype, batch_size): outlier-grid's
+    # task ends each epoch on a 4-row batch, tsne-blobs' 32-D rows on a
+    # 44-row one, and 3072-wide float32 rows on a 1-row one.
+    WORKLOAD_SHAPES = {
+        "outlier-grid": (420, 2, np.float64, 32),
+        "tsne-blobs": (300, 32, np.float64, 128),
+        "cifar-width-float32": (129, 3072, np.float32, 64),
+    }
+
+    @pytest.mark.parametrize("shape", list(WORKLOAD_SHAPES), ids=list(WORKLOAD_SHAPES))
+    def test_equal_to_per_batch_loop_at_workload_shapes(self, shape):
+        n, dim, dtype, batch_size = self.WORKLOAD_SHAPES[shape]
+        X, _ = _task(n, dim, dtype, seed=10)
+        y = np.random.default_rng(11).integers(0, 10, size=n)
+        model = init_mlp(dim, (128, 64), 10, seed=12)
+        teacher = snapshot_teacher(init_mlp(dim, (128, 64), 8, seed=13))
+        tcfg = TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.02, momentum=0.9)
+        trained, trace = train_task(model, X, y, teacher, seed=14, tcfg=tcfg)
+        ref_w, ref_b, ref_trace = train_task_reference(
+            model.weights, model.biases, X, y, (teacher.model.weights, teacher.model.biases),
+            temperature=2.0, beta=0.5, epochs=3, batch_size=batch_size, learning_rate=0.02,
+            momentum=0.9, seed=14,
+        )
+        assert trace == ref_trace
+        for got, want in zip(trained.weights + trained.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
+
+    # a linear model on float32 rows at a learning rate near float32's
+    # largest value: its weights overflow after a few epochs
+    @pytest.mark.parametrize("ell", [None, 3], ids=["no-teacher", "teacher"])
+    def test_divergence_raised_at_the_reference_epoch(self, ell):
+        X, y = _task(60, 2, np.float32, seed=0)
+        model = init_mlp(2, (), 6, seed=1)
+        teacher = None if ell is None else snapshot_teacher(init_mlp(2, (), ell, seed=2))
+        tcfg = TrainConfig(epochs=40, batch_size=16, learning_rate=4e37, momentum=0.9)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                train_task_reference(
+                    model.weights, model.biases, X, y,
+                    None if teacher is None else (teacher.model.weights, teacher.model.biases),
+                    temperature=2.0, beta=0.5, epochs=40, batch_size=16, learning_rate=4e37,
+                    momentum=0.9, seed=3,
+                )
+            with pytest.raises(DivergenceError) as got:
+                train_task(model, X, y, teacher, seed=3, tcfg=tcfg)
+        assert want.value.epoch > 0  # not the first epoch: the epoch is checked
+        assert got.value.epoch == want.value.epoch
 
 
 class TestPixelBytes:
