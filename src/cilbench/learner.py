@@ -436,8 +436,11 @@ def train_task(
             np.multiply(vel, lr, out=grad)
             flat -= grad
         row_loss = _row_losses(lcfg, p_label, p_s, p_t_epoch)
-        parts = [row_loss[rows] for rows in batches]
-        losses = [float(part.mean()) * len(part) for part in parts]
+        # each batch's mean, weighted by its length; one call for the full batches
+        k, short = divmod(n, full)
+        losses = row_loss[: k * full].reshape(k, full).mean(axis=1).astype(np.float64) * full
+        if short:
+            losses = np.append(losses, float(row_loss[k * full :].mean()) * short)
         epoch_loss = float(np.sum(losses) / n)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)

@@ -20,6 +20,13 @@ _EPS = 1e-12
 # tsne_reduce computes the KL value every KL_EVERY-th step (see
 # kl_trace_steps), as scikit-learn's TSNE checks its error every 50 steps
 KL_EVERY = 50
+# the step rule of van der Maaten's reference t-SNE (arXiv:1301.3342); P is
+# exaggerated for TsneConfig.exaggeration_iters steps
+LEARNING_RATE = 200.0
+EARLY_EXAGGERATION = 12.0
+MOMENTUM_START = 0.5
+MOMENTUM_FINAL = 0.8
+MOMENTUM_SWITCH_ITER = 250
 
 
 @dataclass
@@ -35,26 +42,15 @@ class Embedding:
 class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 500
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
     exaggeration_iters: int = 100
-    momentum_start: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch_iter: int = 250
 
     def validate(self) -> None:
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
-        if self.perplexity < 2:
+        if not self.perplexity >= 2:
             raise ConfigurationError("perplexity must be >= 2")
-        if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be > 0")
-        if not self.early_exaggeration >= 1:
-            raise ConfigurationError("early_exaggeration must be >= 1")
-        if min(self.exaggeration_iters, self.momentum_switch_iter) < 0:
-            raise ConfigurationError("exaggeration_iters and momentum_switch_iter must be >= 0")
-        if not (0 <= self.momentum_start < 1 and 0 <= self.momentum_final < 1):
-            raise ConfigurationError("momentum_start and momentum_final must be in [0, 1)")
+        if self.exaggeration_iters < 0:
+            raise ConfigurationError("exaggeration_iters must be >= 0")
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -270,17 +266,17 @@ def tsne_descent(emb: Embedding) -> tuple[np.ndarray, list[float]]:
     # one kernel call per step: call t+1 can also yield KL(P||Q) at the Y
     # that step t produced, so the trace needs a single call after the loop
     work = tuple(np.empty((n, n)) for _ in range(3))
-    P_exag = np.maximum(P * cfg.early_exaggeration, _EPS)
+    P_exag = np.maximum(P * EARLY_EXAGGERATION, _EPS)
     velocity = np.zeros_like(Y)
     trace = [np.nan] * cfg.iterations
     steps = set(kl_trace_steps(cfg.iterations, cfg.exaggeration_iters))
     for it in range(cfg.iterations):
         P_grad = P_exag if it < cfg.exaggeration_iters else P
-        mom = cfg.momentum_start if it < cfg.momentum_switch_iter else cfg.momentum_final
+        mom = MOMENTUM_START if it < MOMENTUM_SWITCH_ITER else MOMENTUM_FINAL
         kl, grad = kl_divergence_and_grad(P, Y, P_grad, work, with_kl=it - 1 in steps)
         if it > 0:
             trace[it - 1] = kl
-        velocity = mom * velocity - cfg.learning_rate * grad
+        velocity = mom * velocity - LEARNING_RATE * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
     if not np.all(np.isfinite(Y)):

@@ -482,6 +482,12 @@ class TestResultFiles:
         cfg.validate()
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
+    def test_tsne_keys(self):
+        # the descent's step rule is fixed in reduce.py, not configured
+        assert sorted(config_to_dict(RunConfig())["tsne"]) == [
+            "exaggeration_iters", "iterations", "perplexity",
+        ]
+
 
 class TestCli:
     def write_config(self, tmp_path, cfg):
@@ -537,6 +543,12 @@ class TestCli:
             {"tsne": {"seed": 3}},
             {"tsne": {"target_dim": 3}},
             {"tsne": {"init": "random"}},
+            # the t-SNE step rule is fixed, even at its own values
+            {"tsne": {"learning_rate": 200.0}},
+            {"tsne": {"early_exaggeration": 12.0}},
+            {"tsne": {"momentum_start": 0.5}},
+            {"tsne": {"momentum_final": 0.8}},
+            {"tsne": {"momentum_switch_iter": 250}},
             {"stream": {"mode": "fuzzy", "classes_per_task": 2, "fuzz_percent": 0}},
             # Gonzalez's k-center is sampler_kind "diverse" with n=0
             {"sampler_kind": "gonzalez"},
@@ -553,7 +565,9 @@ class TestCli:
              "negative-spread", "reduce-dim-wrong-type", "zero-reduce-dim", "zero-dim",
              "tsne-negative-lr", "tsne-momentum-above-one", "train-momentum-one",
              "train-momentum-above-one", "stream-seed", "train-seed",
-             "tsne-seed", "tsne-target-dim", "tsne-init", "fuzzy-zero-fuzz",
+             "tsne-seed", "tsne-target-dim", "tsne-init", "tsne-learning-rate",
+             "tsne-early-exaggeration", "tsne-momentum-start", "tsne-momentum-final",
+             "tsne-momentum-switch-iter", "fuzzy-zero-fuzz",
              "sampler-gonzalez", "blobs-one-class", "cifar-without-test-path",
              "cifar-negative-blobs-spread", "reducer-umap"],
     )
