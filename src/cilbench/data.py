@@ -106,7 +106,9 @@ def pack_cifar_record(coarse: int, fine: int, pixels: np.ndarray) -> bytes:
     pix = np.asarray(pixels, dtype=np.uint8)
     if pix.size != CIFAR_PIXELS:
         raise DataError(f"expected {CIFAR_PIXELS} pixel bytes, got {pix.size}")
-    return bytes([coarse & 0xFF, fine & 0xFF]) + pix.tobytes()
+    if not (0 <= coarse <= 255 and 0 <= fine <= 255):
+        raise DataError(f"labels must be bytes (0-255), got coarse {coarse}, fine {fine}")
+    return bytes([coarse, fine]) + pix.tobytes()
 
 
 def load_cifar100(path: str, split: str = "train") -> Dataset:

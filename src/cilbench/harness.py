@@ -93,6 +93,8 @@ class RunConfig:
         input_dim = self.blobs.dim if self.dataset == "blobs" else data.CIFAR_PIXELS
         if self.reducer == "none" and input_dim > 3:
             raise ConfigurationError("reducer 'none' only allowed for input dim <= 3")
+        if self.reducer != "none" and self.reduce_dim > input_dim:
+            raise ConfigurationError(f"reduce_dim must be <= the input width {input_dim}")
 
 
 def _has_type(value, kind) -> bool:

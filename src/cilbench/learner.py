@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError, ShapeError
+from .errors import ConfigurationError, DivergenceError, ShapeError
 
 _PROB_FLOOR = 1e-12
 
@@ -124,12 +124,10 @@ def as_features(X: np.ndarray, dtype=np.float32) -> np.ndarray:
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns (logits, activations); activations[k] is the input to layer k.
-    The forward computes in the model's dtype (its first layer's): X is
-    cast to it, so a float32 model takes float32 steps whatever X holds."""
-    X = np.asarray(X)
-    if X.dtype == np.uint8:
-        raise DataError("forward_batch got pixel bytes (uint8); scale them with as_features")
-    X = X.astype(model.weights[0].dtype, copy=False)
+    The forward computes in the model's dtype (its first layer's): pixel
+    bytes (uint8) are scaled into it with as_features, other rows cast."""
+    X, dtype = np.asarray(X), model.weights[0].dtype
+    X = as_features(X, dtype) if X.dtype == np.uint8 else X.astype(dtype, copy=False)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"input shape {X.shape} != (rows, {model.input_dim})")
     acts = [X]
@@ -198,7 +196,6 @@ def forward_chunked(
 ) -> np.ndarray:
     """per_chunk(logits, penultimate features) of every row of X, stacked by
     row.  X goes through forward_batch min(rows, len(X)) rows at a time,
-    each chunk scaled with as_features and freed before the next is made,
     so no float copy of X is larger than one chunk; per_chunk keeps what
     its caller needs of a chunk and nothing else.  Each forward computes
     in the model's dtype (see forward_batch).
@@ -214,12 +211,12 @@ def forward_chunked(
     out = None
     for start in range(0, len(X), rows):
         lo = max(0, min(start, len(X) - rows))
-        logits, acts = forward_batch(model, as_features(X[lo : lo + rows]))
+        logits, acts = forward_batch(model, X[lo : lo + rows])
         part = per_chunk(logits, acts[-1])
         if out is None:
             out = np.empty((len(X), *part.shape[1:]), part.dtype)
         out[lo : lo + len(part)] = part
-        del logits, acts, part  # frees the scaled chunk before the next is made
+        del logits, acts, part  # frees the chunk's float copy before the next is made
     return out
 
 
@@ -359,7 +356,7 @@ def train_task(
     """Mini-batch gradient descent with momentum on rows X with head-slot
     labels y; returns the trained model and the per-epoch mean loss trace.
     Deterministic given seed, which orders the mini-batches.  X may be
-    pixel bytes: each mini-batch is scaled with as_features once gathered.
+    pixel bytes: each step takes its rows as stored (see forward_batch).
 
     Training computes in the features' dtype, as_features(X)'s: float32
     for pixel bytes and float32 rows, float64 for float64 rows.  The
@@ -403,9 +400,6 @@ def train_task(
     workspaces = {
         rows: _Workspace(model, rows, slots, lcfg, dtype) for rows in {full, n % full or full}
     }
-    pixels = X.dtype == np.uint8
-    if not pixels:
-        X = as_features(X)
     p_t = p_t_epoch = p_s = None
     if teacher is not None:
         p_t = teacher_targets(teacher, X, lcfg.temperature, full).astype(dtype, copy=False)
@@ -425,7 +419,7 @@ def train_task(
             np.take(p_t, order, axis=0, out=p_t_epoch)
         for rows in batches:
             batch = order[rows]
-            xb = as_features(X[batch]) if pixels else X[batch]
+            xb = X[batch]
             targets = None if p_t is None else p_t_epoch[rows]
             if targets is not None and len(batch) != full:
                 targets[...] = teacher_targets(teacher, xb, lcfg.temperature, len(batch))

@@ -343,8 +343,10 @@ class TestPixelBytes:
         forward = learner.forward_batch
 
         def recording(model, X):
-            calls[stage[-1]].append((X.dtype, *(a.dtype for a in model.weights + model.biases)))
-            return forward(model, X)
+            logits, acts = forward(model, X)
+            arrays = [acts[0], *model.weights, *model.biases]
+            calls[stage[-1]].append(tuple(a.dtype for a in arrays))
+            return logits, acts
 
         def within(name, fn):
             def wrapped(*args, **kwargs):
@@ -559,6 +561,9 @@ class TestCli:
             {"dataset": "cifar100", "cifar_train_path": "train.bin",
              "cifar_test_path": "test.bin", "reducer": "pca", "blobs": {"spread": -1.0}},
             {"reducer": "umap"},
+            # a reducer cannot add dimensions the 2-D blobs do not have
+            {"reducer": "tsne", "reduce_dim": 3},
+            {"reducer": "pca", "reduce_dim": 3},
         ],
         ids=["unknown-field", "wrong-type", "stream-wrong-type", "budget-below-classes",
              "negative-seed", "seed-wrong-type", "zero-hidden", "negative-hidden",
@@ -569,7 +574,8 @@ class TestCli:
              "tsne-early-exaggeration", "tsne-momentum-start", "tsne-momentum-final",
              "tsne-momentum-switch-iter", "fuzzy-zero-fuzz",
              "sampler-gonzalez", "blobs-one-class", "cifar-without-test-path",
-             "cifar-negative-blobs-spread", "reducer-umap"],
+             "cifar-negative-blobs-spread", "reducer-umap", "tsne-dim-above-width",
+             "pca-dim-above-width"],
     )
     def test_bad_config_exits_before_training(self, tmp_path, monkeypatch, override):
         monkeypatch.setattr(learner, "train_task", lambda *a, **k: pytest.fail("trained"))
@@ -579,6 +585,17 @@ class TestCli:
         path.write_text(json.dumps(cfg_dict))
         assert cli_main(["run", "--config", str(path)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("reducer", ["tsne", "pca"])
+    def test_reduce_dim_up_to_the_input_width_accepted(self, reducer):
+        small_config(reducer=reducer, reduce_dim=2).validate()
+        cifar = small_config(dataset="cifar100", cifar_train_path="train.bin",
+                             cifar_test_path="test.bin", reducer=reducer)
+        dataclasses.replace(cifar, reduce_dim=3072).validate()
+        with pytest.raises(ConfigurationError, match="3072"):
+            dataclasses.replace(cifar, reduce_dim=3073).validate()
+        # without a reducer reduce_dim is not used
+        small_config(reducer="none", reduce_dim=3).validate()
 
     @pytest.mark.parametrize("content", [None, "dir", b"\xff\xfe", b"[" * 100_000],
                              ids=["missing", "directory", "not-utf8", "nested-too-deep"])

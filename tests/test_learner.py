@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cilbench import learner
-from cilbench.errors import ConfigurationError, DataError, DivergenceError, ShapeError
+from cilbench.errors import ConfigurationError, DivergenceError, ShapeError
 from cilbench.learner import (
     LossConfig,
     MlpModel,
@@ -53,11 +53,20 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(model, np.zeros((1, 5)))
 
-    def test_pixel_bytes_rejected(self):
-        # unscaled 0-255 pixels must not reach the weights
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pixel_bytes_scaled_in_the_models_dtype(self, dtype):
+        # unscaled 0-255 pixels must not reach the weights: forward_batch
+        # computes on byte / 255 in the model's dtype
         model = init_mlp(3, (4,), 2, seed=0)
-        with pytest.raises(DataError, match="as_features"):
-            forward_batch(model, np.full((2, 3), 255, dtype=np.uint8))
+        model = MlpModel([W.astype(dtype) for W in model.weights],
+                         [b.astype(dtype) for b in model.biases])
+        pixels = np.array([[0, 1, 128], [254, 255, 7]], dtype=np.uint8)
+        got_logits, got_acts = forward_batch(model, pixels)
+        want_logits, want_acts = forward_batch(model, as_features(pixels, np.float64))
+        assert got_acts[0].dtype == np.dtype(dtype)
+        assert np.array_equal(got_logits, want_logits)
+        for a, b in zip(got_acts, want_acts):
+            assert np.array_equal(a, b)
 
     def test_logit_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -436,8 +445,24 @@ class TestTrainingBitExact:
 
 
 class TestPixelBytes:
-    """train_task scales each gathered mini-batch itself, so pixel bytes
-    train exactly as the float32 rows as_features makes of them."""
+    """forward_batch scales each mini-batch train_task gathers, so pixel
+    bytes train exactly as the float32 rows as_features makes of them."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_loss_and_grads_equal_to_float32_rows(self, pixel_rows, dtype):
+        pixels = pixel_rows(12, seed=21)
+        y = np.random.default_rng(22).integers(0, 5, size=12)
+        model = init_mlp(3072, (16,), 5, seed=23)
+        model = MlpModel([W.astype(dtype) for W in model.weights],
+                         [b.astype(dtype) for b in model.biases])
+        teacher = snapshot_teacher(init_mlp(3072, (16,), 3, seed=24))
+        lcfg = LossConfig(temperature=2.0, beta=0.5)
+        got_loss, got = batch_loss_and_grads(model, pixels, y, teacher, lcfg)
+        want_loss, want = batch_loss_and_grads(model, as_features(pixels), y, teacher, lcfg)
+        assert got_loss == want_loss
+        for (gW, gb), (wW, wb) in zip(got, want):
+            assert gW.dtype == np.dtype(dtype)
+            assert np.array_equal(gW, wW) and np.array_equal(gb, wb)
 
     # (rows, teacher head or None); batch_size 32, so 98 and 97 rows end
     # each epoch on a two-row and a one-row batch

@@ -121,6 +121,18 @@ class TestCifarLoader:
             repacked = pack_cifar_record(original[0], int(ds.y_train[i]), pixels[i])
             assert repacked == original
 
+    @pytest.mark.parametrize("coarse, fine", [(0, 256), (0, -1), (256, 3), (-1, 3)],
+                             ids=["fine-256", "fine-negative", "coarse-256", "coarse-negative"])
+    def test_pack_rejects_a_label_outside_a_byte(self, coarse, fine):
+        # each label is one byte of the record; no value may wrap into one
+        with pytest.raises(DataError, match="0-255"):
+            pack_cifar_record(coarse, fine, np.zeros(3072, dtype=np.uint8))
+
+    def test_pack_keeps_every_byte_label(self):
+        pixels = np.zeros(3072, dtype=np.uint8)
+        for label in (0, 99, 100, 255):
+            assert pack_cifar_record(label, label, pixels)[:2] == bytes([label, label])
+
 
 class TestBlobs:
     def test_split_counts(self):
