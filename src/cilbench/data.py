@@ -103,7 +103,10 @@ def _round_half_up(x: float) -> int:
 
 def pack_cifar_record(coarse: int, fine: int, pixels: np.ndarray) -> bytes:
     """One record in the layout load_cifar100 reads; byte-exact round trip."""
-    pix = np.asarray(pixels, dtype=np.uint8)
+    pix = np.asarray(pixels)
+    if pix.dtype != np.uint8 and not np.all((pix >= 0) & (pix <= 255) & (pix == np.round(pix))):
+        raise DataError("pixel values must be whole numbers in 0-255, none may wrap")
+    pix = pix.astype(np.uint8, copy=False)
     if pix.size != CIFAR_PIXELS:
         raise DataError(f"expected {CIFAR_PIXELS} pixel bytes, got {pix.size}")
     if not (0 <= coarse <= 255 and 0 <= fine <= 255):

@@ -399,8 +399,10 @@ def run_tasks(cfg: RunConfig, dataset: Dataset | None = None):
                     model, len(slot_to_class) - model.num_classes,
                     _module_seed(cfg.seed, _SEED_MODEL, task.task_index),
                 )
+            X = ds.X_train[rows]  # float rows train in float32, as pixel bytes do
+            X = X if X.dtype == np.uint8 else X.astype(np.float32, copy=False)
             model, _trace = learner.train_task(
-                model, ds.X_train[rows], slot_of[ds.y_train[rows]], teacher,
+                model, X, slot_of[ds.y_train[rows]], teacher,
                 seed=_module_seed(cfg.seed, _SEED_TRAIN, task.task_index),
                 lcfg=cfg.loss, tcfg=cfg.train,
             )

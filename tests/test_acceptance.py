@@ -361,3 +361,23 @@ def test_15_fuzzy_diverse_vs_random(fuzzy_benchmark):
     rnd = statistics.mean(fuzzy_benchmark[("random", 0, s)][0] for s in range(5))
     report("15 fuzzy diverse > random (mean)", dss > rnd, t0,
            extra=f"mean(n=5)={dss:.3f} mean(random)={rnd:.3f}")
+
+
+# final avg_accuracy of outlier_benchmark_config("diverse", 5, seed), seeds
+# 0-9, trained in float64: the output of commit b63b923, the last to train
+# blob rows in float64
+FLOAT64_DIVERSE_N5_AA = [
+    0.8960833333333333, 0.9388333333333334, 0.92175, 0.9213333333333334, 0.8586666666666666,
+    0.8637499999999999, 0.8933333333333333, 0.9096249999999999, 0.92125, 0.9338749999999999,
+]
+
+
+def test_16_float32_training_close_to_float64(benchmark_aa):
+    """Blob rows train in float32; no seed's final accuracy moves by more than
+    0.01 from float64 training (measured worst case 0.0059)."""
+    t0 = time.perf_counter()
+    got = [benchmark_aa[("diverse", 5, s)] if s < 5 else
+           run_experiment(outlier_benchmark_config("diverse", 5, s)).records[-1].avg_accuracy
+           for s in range(10)]
+    worst = max(abs(a - b) for a, b in zip(got, FLOAT64_DIVERSE_N5_AA))
+    report("16 float32 within 0.01 of float64", worst <= 0.01, t0, extra=f"worst={worst:.4f}")

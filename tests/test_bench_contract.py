@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,14 @@ def test_every_probe_target_is_a_function(module, name):
     assert callable(getattr(importlib.import_module("cilbench." + module), name, None))
 
 
+def example_epochs(cfg, ds, result) -> int:
+    """What bench/worker.py compares learner.train_samples with: every
+    task's rows plus the store it rehearses, times the epochs."""
+    held = [0] + [r.exemplar_count for r in result.records[:-1]]
+    tasks = harness._checked_stream(cfg, ds)
+    return sum((len(t.example_indices) + h) * cfg.train.epochs for t, h in zip(tasks, held))
+
+
 @pytest.mark.parametrize("classifier, extra", [("softmax_head", []),
                                                ("nme", ["harness.exemplar_class_means"])])
 def test_traced_run_makes_the_expected_calls_and_fields(tmp_path, classifier, extra):
@@ -47,6 +56,7 @@ def test_traced_run_makes_the_expected_calls_and_fields(tmp_path, classifier, ex
 
     # the fields bench/worker.py reads of what the probe captured
     (_, ds), = probe.datasets
+    assert probe.counts["learner.train_samples"] == example_epochs(cfg, ds, result)
     for split in (ds.train, ds.test):
         assert split and all(
             np.shape(ex.features) == (cfg.blobs.dim,) and isinstance(ex.label, (int, np.integer))
@@ -62,6 +72,24 @@ def test_traced_run_makes_the_expected_calls_and_fields(tmp_path, classifier, ex
         assert len(emb.kl_trace) == cfg.tsne.iterations
     assert sorted(result.class_order_seen) == list(range(cfg.blobs.num_classes))
     assert len(result.model.weights) == len(result.model.biases) == len(cfg.hidden_sizes) + 1
+
+
+def test_traced_outlier_grid_shaped_runs_make_the_expected_calls(tmp_path):
+    """A random and a diverse run with outlier-grid's classifier and reducer
+    make every call a traced outlier-grid round requires, between them,
+    and each hands train_task exactly its example-epochs."""
+    expected = workloads.outlier_grid(0, str(tmp_path / "outlier-grid")).expected_calls
+    calls = Counter()
+    for kind in ("random", "diverse"):
+        cfg = small_config(sampler_kind=kind, reducer="none", classifier="nme")
+        probe = Probe(SpanStore(), cfg.reduce_dim)
+        with probe:
+            result = harness.run_experiment(cfg)
+            harness.emit_results(result, cfg, str(tmp_path / kind))
+        calls.update(probe.calls)
+        (_, ds), = probe.datasets
+        assert probe.counts["learner.train_samples"] == example_epochs(cfg, ds, result)
+    assert not [name for name in expected if calls[name] == 0]
 
 
 def test_every_workload_config_is_valid(tmp_path):

@@ -327,12 +327,12 @@ class TestPixelBytes:
             assert np.array_equal(a, b)
         assert new_run.store.to_json() == old_run.store.to_json()
 
-    @pytest.mark.parametrize("dataset,want", [("cifar100", np.float32), ("blobs", np.float64)])
+    @pytest.mark.parametrize("dataset,want", [("cifar100", np.float32), ("blobs", np.float32)])
     def test_every_forward_computes_in_the_features_dtype(
         self, cifar_pair, monkeypatch, dataset, want
     ):
-        """Training, the teacher targets and NME evaluation of a pixel run run
-        in float32; a blobs run keeps float64."""
+        """Training, the teacher targets and NME evaluation run in float32 on
+        both kinds of data: pixel bytes and float64 blob rows."""
         cfg = small_config(
             dataset=dataset, cifar_train_path=str(cifar_pair / "train.bin"),
             cifar_test_path=str(cifar_pair / "test.bin"), classifier="nme", reducer="pca",

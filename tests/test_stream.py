@@ -133,6 +133,22 @@ class TestCifarLoader:
         for label in (0, 99, 100, 255):
             assert pack_cifar_record(label, label, pixels)[:2] == bytes([label, label])
 
+    @pytest.mark.parametrize("pixels", [
+        np.full(3072, 256, dtype=np.int64), np.full(3072, -1.0), np.full(3072, 3.7),
+        [256] * 3072, np.full(3072, np.nan),
+    ], ids=["int-256", "float-negative", "float-fraction", "list-256", "nan"])
+    def test_pack_rejects_a_pixel_that_is_not_a_byte(self, pixels):
+        # a pixel outside 0-255 or between two whole numbers would wrap or
+        # truncate into some other byte
+        with pytest.raises(DataError, match="0-255"):
+            pack_cifar_record(0, 0, pixels)
+
+    def test_pack_takes_whole_numbers_of_any_dtype(self):
+        values = np.arange(3072) % 256
+        want = pack_cifar_record(1, 2, values.astype(np.uint8))
+        for pixels in (values, values.astype(np.float32), values.tolist()):
+            assert pack_cifar_record(1, 2, pixels) == want
+
 
 class TestBlobs:
     def test_split_counts(self):
