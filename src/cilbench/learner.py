@@ -343,14 +343,6 @@ def _layer_views(flat: np.ndarray, model: MlpModel) -> list[tuple[np.ndarray, np
 # Training
 
 
-def _flush_subnormals(a: np.ndarray, scratch: np.ndarray) -> None:
-    """Zero a's subnormal entries in place (scratch: a float array shaped like
-    a, overwritten).  A dead unit's momentum decays into subnormals, whose
-    arithmetic is slow."""
-    np.greater_equal(np.abs(a, out=scratch), np.finfo(a.dtype).tiny, out=scratch)
-    a *= scratch
-
-
 def train_task(
     model: MlpModel,
     X: np.ndarray,
@@ -437,7 +429,6 @@ def train_task(
             vel += grad
             np.multiply(vel, lr, out=grad)
             flat -= grad
-        _flush_subnormals(vel, grad)  # the next backprop overwrites grad
         row_loss = _row_losses(lcfg, p_label, p_s, p_t_epoch)
         # each batch's mean, weighted by its length; one call for the full batches
         k, short = divmod(n, full)

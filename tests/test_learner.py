@@ -444,36 +444,6 @@ class TestTrainingBitExact:
         assert got.value.epoch == want.value.epoch
 
 
-class TestSubnormalFlush:
-    """train_task zeroes its momentum's subnormal entries once per epoch: a
-    dead unit's velocity decays into them, and arithmetic on them is slow."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_zeroes_subnormals_and_keeps_the_rest(self, dtype):
-        info = np.finfo(dtype)
-        sub = np.array([info.smallest_subnormal, info.tiny / 2, np.nextafter(info.tiny, 0)],
-                       dtype)
-        keep = np.array([0.0, info.tiny, 1e-20, 1.0, 3.5, info.max], dtype)
-        a = np.concatenate([sub, -sub, keep, -keep])
-        learner._flush_subnormals(a, np.empty_like(a))
-        assert np.array_equal(a, np.concatenate([np.zeros(2 * len(sub), dtype), keep, -keep]))
-
-    def test_runs_on_the_momentum_once_per_epoch(self, monkeypatch):
-        X, y = _task(40, 2, np.float32, seed=0)
-        model = init_mlp(2, (8,), 6, seed=1)
-        sizes = []
-        flush = learner._flush_subnormals
-
-        def recording(a, scratch):
-            sizes.append((a.size, scratch.size, a.dtype))
-            flush(a, scratch)
-
-        monkeypatch.setattr(learner, "_flush_subnormals", recording)
-        train_task(model, X, y, seed=0, tcfg=TrainConfig(epochs=3, batch_size=16))
-        n_params = sum(a.size for a in model.weights + model.biases)
-        assert sizes == [(n_params, n_params, np.dtype(np.float32))] * 3
-
-
 class TestPixelBytes:
     """forward_batch scales each mini-batch train_task gathers, so pixel
     bytes train exactly as the float32 rows as_features makes of them."""
