@@ -170,8 +170,9 @@ def kl_divergence_and_grad(
     KL(P_grad||Q) (P_grad defaults to P), from one pass over Q.
 
     With with_kl false the four N x N passes of the KL value are skipped
-    and the value is NaN; the gradient is the same to the bit.  work is a
-    tuple of three (N, N) float64 arrays that receive every N x N
+    and the value is NaN; the gradient is the same to the bit.  Everything
+    is computed in P's dtype, which Y (and P_grad) share.  work is a tuple
+    of three (N, N) arrays of that dtype that receive every N x N
     intermediate; without it they are allocated here.  The operation order
     is fixed, so results do not depend on whether work is given.
     """
@@ -179,7 +180,7 @@ def kl_divergence_and_grad(
         P_grad = P
     n = Y.shape[0]
     if work is None:
-        work = tuple(np.empty((n, n)) for _ in range(3))
+        work = tuple(np.empty((n, n), dtype=P.dtype) for _ in range(3))
     a, num, c = work
     # num = 1 / (1 + pairwise_sq_dists(Y)), zero diagonal; Y @ Y.T stays a
     # one-operand product (numpy's syrk), which rounds unlike a general gemm
@@ -258,14 +259,18 @@ def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig(), descend: bool = True)
 
 def tsne_descent(emb: Embedding) -> tuple[np.ndarray, list[float]]:
     """The descent of a pending embedding from its start: the final points
-    and kl_trace, whose last entry stays NaN for finish_tsne.  It reads
-    emb and changes nothing, so it can run in another process."""
+    (float64) and kl_trace, whose last entry stays NaN for finish_tsne.  It
+    reads emb and changes nothing, so it can run in another process.
+
+    The descent computes in float32: P, the points, the velocity, every
+    kernel call and the scheduled kl_trace entries."""
     P, cfg = emb.pending
-    Y = emb.points
+    P = P.astype(np.float32)
+    Y = emb.points.astype(np.float32)
     n = Y.shape[0]
     # one kernel call per step: call t+1 can also yield KL(P||Q) at the Y
     # that step t produced, so the trace needs a single call after the loop
-    work = tuple(np.empty((n, n)) for _ in range(3))
+    work = tuple(np.empty((n, n), dtype=np.float32) for _ in range(3))
     P_exag = np.maximum(P * EARLY_EXAGGERATION, _EPS)
     velocity = np.zeros_like(Y)
     trace = [np.nan] * cfg.iterations
@@ -281,7 +286,7 @@ def tsne_descent(emb: Embedding) -> tuple[np.ndarray, list[float]]:
         Y = Y - Y.mean(axis=0)
     if not np.all(np.isfinite(Y)):
         raise DataError("t-SNE diverged to non-finite coordinates")
-    return Y, trace
+    return Y.astype(np.float64), trace
 
 
 def finish_tsne(emb: Embedding, points: np.ndarray, kl_trace: list[float]) -> None:

@@ -120,10 +120,12 @@ def tsne_kl_and_grad(P, Y) -> tuple[float, np.ndarray]:
 def tsne_descent(
     P, Y, *, iterations: int, learning_rate: float, early_exaggeration: float,
     exaggeration_iters: int, momentum_start: float, momentum_final: float,
-    momentum_switch_iter: int,
+    momentum_switch_iter: int, with_trace: bool = True,
 ) -> tuple[np.ndarray, list[float]]:
-    """Momentum descent from Y; one kernel call for the step's gradient under
-    the exaggerated P, a second for KL(P||Q) at the Y the step produced."""
+    """Momentum descent from Y, in the dtype of P and Y; one kernel call for
+    the step's gradient under the exaggerated P, a second for KL(P||Q) at
+    the Y the step produced.  With with_trace false the second call is
+    skipped and the trace is empty."""
     velocity = np.zeros_like(Y)
     trace: list[float] = []
     for it in range(iterations):
@@ -133,7 +135,8 @@ def tsne_descent(
         velocity = mom * velocity - learning_rate * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-        trace.append(tsne_kl_and_grad(P, Y)[0])
+        if with_trace:
+            trace.append(tsne_kl_and_grad(P, Y)[0])
     return Y, trace
 
 

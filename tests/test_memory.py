@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from cilbench import harness
 from cilbench.data import BlobsSpec, StreamSpec, TaskBatch
-from cilbench.harness import load_dataset, memory_steps, outlier_benchmark_config, run_experiment
+from cilbench.harness import (
+    RunConfig, load_dataset, memory_steps, outlier_benchmark_config, run_experiment,
+)
 from cilbench.learner import TrainConfig
 from cilbench.sampler import SamplerParams
 from helpers import small_config
@@ -77,6 +79,35 @@ def test_nothing_yielded_changes_afterwards(stream):
     assert ([(r.store.to_json(), len(r.records)) for r, _, _ in results]
             == [(when, n) for _, when, n in results])
     assert [n for _, _, n in results] == [1, 2]
+
+
+def _tsne_blobs_config(seed):
+    """The benchmark's tsne-blobs run: 32-D blobs embedded by the default
+    exact t-SNE, filtered and sampled by diverse n=5."""
+    return RunConfig(
+        blobs=BlobsSpec(num_classes=10, per_class=200, dim=32, outlier_fraction=0.1),
+        stream=StreamSpec("disjoint", 2), sampler_params=SamplerParams(m=1, n=5),
+        reducer="tsne", seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tsne_memory_filters_planted_outliers(seed):
+    # the benchmark's rule: a planted outlier lies more than 9 spreads from
+    # its class's median (they are planted at least 10 spreads out); a tenth
+    # of each class is planted, and 0.3-1.1% of the rows the benchmark's
+    # traced runs stored (seeds 0-5) were planted ones
+    cfg = _tsne_blobs_config(seed)
+    ds = load_dataset(cfg)
+    far = np.zeros(len(ds.y_train), dtype=bool)
+    for c in range(ds.num_classes):
+        rows = ds.y_train == c
+        centre = np.median(ds.X_train[rows], axis=0)
+        far[rows] = np.linalg.norm(ds.X_train[rows] - centre, axis=1) > 9 * cfg.blobs.spread
+    last = memory_trajectory(cfg, ds, harness._checked_stream(cfg, ds))[-1]
+    stored = [i for rows in by_class(last).values() for i in rows]
+    assert len(stored) == cfg.memory_budget
+    assert far[stored].mean() <= 0.02
 
 
 def _shortfall_config(kind="diverse"):

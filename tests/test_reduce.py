@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
+from cilbench import reduce
+from cilbench.data import BlobsSpec, make_blobs
 from cilbench.errors import ConfigurationError, DataError
 from cilbench.harness import _ForkedCall
 from cilbench.reduce import (
@@ -370,8 +372,9 @@ class TestFusedDescent:
         cfg = dataclasses.replace(TsneConfig(iterations=300), **overrides)
         emb = tsne_reduce(X, 2, cfg)
         P, Y0 = tsne_start(X, 2, cfg)
+        # the descent runs in float32; the oracle runs in its inputs' dtype
         points, trace = oracles.tsne_descent(
-            P, Y0,
+            P.astype(np.float32), Y0.astype(np.float32),
             iterations=cfg.iterations,
             exaggeration_iters=cfg.exaggeration_iters,
             # the reference step rule as literals, so a changed constant fails here
@@ -382,11 +385,14 @@ class TestFusedDescent:
             momentum_switch_iter=250,
         )
         assert not emb.warnings
+        assert points.dtype == np.float32 and emb.points.dtype == np.float64
         assert np.array_equal(emb.points, points)
-        # the KL is computed at the scheduled entries only, NaN elsewhere
+        # the KL is computed at the scheduled entries only, NaN elsewhere;
+        # finish_tsne computes the last entry in float64 at the final points
         steps = kl_trace_steps(cfg.iterations, cfg.exaggeration_iters)
         expected = np.full(cfg.iterations, np.nan)
         expected[steps] = np.asarray(trace)[steps]
+        expected[-1] = oracles.tsne_kl_and_grad(P, points.astype(np.float64))[0]
         assert np.array_equal(np.asarray(emb.kl_trace), expected, equal_nan=True)
         assert len(emb.kl_trace) == cfg.iterations
 
@@ -441,3 +447,57 @@ class TestFusedDescent:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+
+@pytest.fixture(scope="module")
+def blob_pool_descents():
+    """Ten tsne-blobs-shaped pools (one per class of the benchmark's 32-D
+    blobs, seed 0) descended by tsne_descent, with the dtypes of every
+    kernel call it made: per pool (P, start, points, kl_trace, dtypes)."""
+    ds = make_blobs(BlobsSpec(10, 200, dim=32, outlier_fraction=0.1), 0)
+    kernel = reduce.kl_divergence_and_grad
+    seen = []  # per pool, the (P, P_grad, Y) dtypes of each call
+
+    def spy(P, Y, P_grad=None, work=None, with_kl=True):
+        seen[-1].append((P.dtype, (P if P_grad is None else P_grad).dtype, Y.dtype))
+        return kernel(P, Y, P_grad, work, with_kl)
+
+    pools = []
+    for c in range(ds.num_classes):
+        emb = tsne_reduce(ds.X_train[ds.y_train == c], 2, TsneConfig(), descend=False)
+        P, start = emb.pending[0], emb.points
+        seen.append([])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduce, "kl_divergence_and_grad", spy)
+            points, trace = tsne_descent(emb)
+        finish_tsne(emb, points, trace)
+        pools.append((P, start, points, emb.kl_trace, seen[-1]))
+    return pools
+
+
+class TestFloat32Descent:
+    """tsne_descent computes in float32 and returns float64 points; its
+    final KL stays at that of the float64 descent it replaced."""
+
+    def test_mean_final_kl_within_0_02_of_float64(self, blob_pool_descents):
+        # measured mean gaps over seeds 0-3: -0.0069 to +0.0037
+        kl32, kl64 = [], []
+        for P, start, _, kl_trace, _ in blob_pool_descents:
+            points64, _ = oracles.tsne_descent(
+                P, start, iterations=500, exaggeration_iters=100, learning_rate=200.0,
+                early_exaggeration=12.0, momentum_start=0.5, momentum_final=0.8,
+                momentum_switch_iter=250, with_trace=False,
+            )
+            kl32.append(kl_trace[-1])  # finish_tsne's entry, in float64
+            kl64.append(oracles.tsne_kl_and_grad(P, points64)[0])
+        assert abs(np.mean(kl32) - np.mean(kl64)) <= 0.02
+
+    def test_every_kernel_call_is_float32(self, blob_pool_descents):
+        for *_, seen in blob_pool_descents:
+            assert len(seen) == TsneConfig().iterations
+            assert set(seen) == {(np.dtype(np.float32),) * 3}
+
+    def test_points_are_finite_float64(self, blob_pool_descents):
+        for P, start, points, _, _ in blob_pool_descents:
+            assert points.dtype == np.float64 and points.shape == start.shape == (len(P), 2)
+            assert np.all(np.isfinite(points))
