@@ -167,14 +167,14 @@ def kl_divergence_and_grad(
     with_kl: bool = True,
 ) -> tuple[float, np.ndarray]:
     """KL(P||Q) under the Student-t output kernel and the gradient in Y of
-    KL(P_grad||Q) (P_grad defaults to P), from one pass over Q.
+    KL(P_grad||Q) (P_grad defaults to P), from two thin matrix products.
 
-    With with_kl false the four N x N passes of the KL value are skipped
-    and the value is NaN; the gradient is the same to the bit.  Everything
-    is computed in P's dtype, which Y (and P_grad) share.  work is a tuple
-    of three (N, N) arrays of that dtype that receive every N x N
-    intermediate; without it they are allocated here.  The operation order
-    is fixed, so results do not depend on whether work is given.
+    With with_kl false the KL value's N x N passes are skipped and it is
+    NaN; the gradient is the same to the bit.  Everything is computed in
+    P's dtype, which Y (and P_grad) share.  work is a tuple of three (N, N)
+    arrays of that dtype that receive every N x N intermediate; without it
+    they are allocated here.  The operation order is fixed, so results do
+    not depend on whether work is given.
     """
     if P_grad is None:
         P_grad = P
@@ -182,33 +182,32 @@ def kl_divergence_and_grad(
     if work is None:
         work = tuple(np.empty((n, n), dtype=P.dtype) for _ in range(3))
     a, num, c = work
-    # num = 1 / (1 + pairwise_sq_dists(Y)), zero diagonal; Y @ Y.T stays a
-    # one-operand product (numpy's syrk), which rounds unlike a general gemm
-    sq = np.sum(Y * Y, axis=1)
-    np.matmul(Y, Y.T, out=a)
-    np.multiply(a, 2.0, out=a)
-    np.add(sq[:, None], sq[None, :], out=num)
-    np.subtract(num, a, out=num)
-    np.fill_diagonal(num, 0.0)
-    np.maximum(num, 0.0, out=num)
-    np.add(num, 1.0, out=num)
+    # num = 1 / (1 + d2) with zero diagonal: 1 + d2_ij is the product
+    # [sq_i, 1, 1, -2 y_i] . [1, sq_j, 1, y_j], clamped at 1 as d2 < 0 is
+    # rounding (max(1 + d2, 1) = 1 + max(d2, 0)); Q's 1e-12 floor is the KL's only
+    sq = np.einsum("ij,ij->i", Y, Y)[:, None]
+    one = np.ones_like(sq)
+    G = np.concatenate([one, sq, one, Y], axis=1)
+    np.matmul(np.concatenate([sq, one, one, -2.0 * Y], axis=1), G.T, out=num)
+    np.maximum(num, 1.0, out=num)
     np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    Q = np.divide(num, num.sum(), out=a)
-    np.maximum(Q, _EPS, out=Q)
+    z = num.sum()
     kl = np.nan
     if with_kl:
+        Q = np.divide(num, z, out=c)
+        np.maximum(Q, _EPS, out=Q)
         np.divide(P, Q, out=c)
         np.log(c, out=c)
         np.multiply(P, c, out=c)
         kl = float(np.sum(c))
-    # L = (Q - P_grad) * num is -W for W = (P_grad - Q) * num, exactly;
-    # grad = 4 (diag(rowsum W) - W) @ Y = 4 (L - diag(rowsum L)) @ Y
-    L = np.subtract(Q, P_grad, out=a)
+    # W = (P_grad - Q) * num has grad = 4 (diag(rowsum W) - W) @ Y; with
+    # L = -W, L @ [1, Y] holds rowsum L and L @ Y, so grad = 4 (L @ Y - rowsum L * Y)
+    L = np.divide(num, z, out=a)
+    np.subtract(L, P_grad, out=L)
     np.multiply(L, num, out=L)
-    L.flat[:: n + 1] -= L.sum(axis=1)
-    grad = 4.0 * (L @ Y)
-    return kl, grad
+    S = L @ G[:, 2:]
+    return kl, 4.0 * (S[:, 1:] - S[:, :1] * Y)
 
 
 def kl_trace_steps(iterations: int, exaggeration_iters: int) -> list[int]:
@@ -225,8 +224,8 @@ def tsne_reduce(X, d: int, cfg: TsneConfig = TsneConfig(), descend: bool = True)
     to PCA for tiny or degenerate inputs.
 
     kl_trace[t] is KL(P||Q) after step t at the steps kl_trace_steps names
-    and NaN at the others: the value costs four of a step's N x N passes,
-    and only the end of exaggeration and the last step are read.
+    and NaN at the others: the value costs six N x N passes, and only the
+    end of exaggeration and the last step are read.
 
     With descend false only the set-up runs (checks, fallbacks, the PCA
     start and the affinities) and a t-SNE result is pending: its points
@@ -263,7 +262,9 @@ def tsne_descent(emb: Embedding) -> tuple[np.ndarray, list[float]]:
     reads emb and changes nothing, so it can run in another process.
 
     The descent computes in float32: P, the points, the velocity, every
-    kernel call and the scheduled kl_trace entries."""
+    kernel call and the scheduled kl_trace entries, updating its own
+    points and velocity in place.  Its steps agree with the two-call loop
+    in tests/oracles.py to rounding, not bit for bit."""
     P, cfg = emb.pending
     P = P.astype(np.float32)
     Y = emb.points.astype(np.float32)
@@ -281,9 +282,10 @@ def tsne_descent(emb: Embedding) -> tuple[np.ndarray, list[float]]:
         kl, grad = kl_divergence_and_grad(P, Y, P_grad, work, with_kl=it - 1 in steps)
         if it > 0:
             trace[it - 1] = kl
-        velocity = mom * velocity - LEARNING_RATE * grad
-        Y = Y + velocity
-        Y = Y - Y.mean(axis=0)
+        velocity *= mom
+        velocity -= LEARNING_RATE * grad
+        Y += velocity
+        Y -= Y.mean(axis=0)
     if not np.all(np.isfinite(Y)):
         raise DataError("t-SNE diverged to non-finite coordinates")
     return Y.astype(np.float64), trace

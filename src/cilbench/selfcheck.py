@@ -2,7 +2,8 @@
 
 A fast subset of the test suite that needs no pytest: sampler equivalence
 and oracle round-trips on random instances, plus finite-difference checks
-of the training loss gradient and the t-SNE KL gradient.
+of the training loss gradient and the t-SNE KL gradient, and the float32
+t-SNE gradient against the float64 one.
 """
 
 from __future__ import annotations
@@ -98,10 +99,25 @@ def check_tsne_gradient(seed: int = 3, trials: int = 3, tol: float = 1e-4) -> bo
     return True
 
 
+def check_tsne_float32(seed: int = 4, trials: int = 3, tol: float = 1e-4) -> bool:
+    """The float32 t-SNE gradient the descent runs, within tol of the largest
+    entry of the float64 gradient on the same inputs."""
+    rng = np.random.default_rng(seed)
+    for n in rng.integers(10, 160, size=trials):
+        P = reduce.joint_affinities(rng.normal(size=(n, 4)), 3.0).astype(np.float32)
+        Y = rng.normal(size=(n, 2)).astype(np.float32)
+        grad = reduce.kl_divergence_and_grad(P, Y, with_kl=False)[1]
+        ref = reduce.kl_divergence_and_grad(P.astype(np.float64), Y.astype(np.float64))[1]
+        if np.abs(grad - ref).max() > tol * np.abs(ref).max():
+            return False
+    return True
+
+
 def run_selfcheck(seed: int = 0) -> list[tuple[str, bool]]:
     return [
         ("filter_off_equivalence", check_filter_off_equivalence(seed)),
         ("oracle_roundtrip", check_oracle_roundtrip(seed + 1)),
         ("gradient_finite_difference", check_gradients(seed + 2)),
         ("tsne_gradient_finite_difference", check_tsne_gradient(seed + 3)),
+        ("tsne_float32_gradient", check_tsne_float32(seed + 4)),
     ]

@@ -834,7 +834,7 @@ class TestCli:
     def test_verify_command(self, capsys):
         assert cli_main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
 
 def _no_child_left():

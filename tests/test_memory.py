@@ -95,7 +95,7 @@ def _tsne_blobs_config(seed):
 def test_tsne_memory_filters_planted_outliers(seed):
     # the benchmark's rule: a planted outlier lies more than 9 spreads from
     # its class's median (they are planted at least 10 spreads out); a tenth
-    # of each class is planted, and 0.3-1.1% of the rows the benchmark's
+    # of each class is planted, and 0.6-0.9% of the rows the benchmark's
     # traced runs stored (seeds 0-5) were planted ones
     cfg = _tsne_blobs_config(seed)
     ds = load_dataset(cfg)

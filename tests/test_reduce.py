@@ -305,11 +305,11 @@ def tsne_start(X, d, cfg):
     return P, Y / Y[:, 0].std() * 1e-4
 
 
-def random_affinities(n, seed):
+def random_affinities(n, seed, d=2):
     rng = np.random.default_rng(seed)
     P = rng.random((n, n))
     P = np.maximum((P + P.T) / (2.0 * (P + P.T).sum()), 1e-12)
-    return P, rng.normal(size=(n, 2))
+    return P, rng.normal(size=(n, d))
 
 
 
@@ -350,73 +350,94 @@ class TestPendingDescent:
 
 
 class TestFusedDescent:
-    """The one-call-per-step descent against the two-call loop it replaced."""
+    """The one-call-per-step descent and its kernel against the two-call
+    loop and kernel in tests/oracles.py, within stated tolerances."""
 
+    def test_step_rule_is_the_reference(self):
+        # the reference step rule as literals, so a changed constant fails here
+        assert (reduce.LEARNING_RATE, reduce.EARLY_EXAGGERATION) == (200.0, 12.0)
+        assert (reduce.MOMENTUM_START, reduce.MOMENTUM_FINAL) == (0.5, 0.8)
+        assert reduce.MOMENTUM_SWITCH_ITER == 250
+
+    @pytest.mark.parametrize("n", [5, 24, 160])
     @pytest.mark.parametrize(
-        "n, overrides",
-        [
-            (5, {}),
-            (24, {}),
-            (160, {}),
-            (24, {"iterations": 1}),
-            (24, {"iterations": 40, "exaggeration_iters": 40}),
-            (24, {"iterations": 40, "exaggeration_iters": 90}),
-        ],
-        # every run starts from the PCA, which the ids name
-        ids=lambda v: f"{v}-pca" if isinstance(v, int) else None,
+        "iterations, exaggeration_iters, switch",
+        [(1, 100, 250), (2, 100, 250), (2, 1, 250), (2, 0, 250), (2, 100, 1)],
     )
-    def test_points_and_trace_bit_identical_to_unfused_loop(self, n, overrides):
+    def test_first_steps_within_1e_5_of_unfused_loop(
+        self, monkeypatch, n, iterations, exaggeration_iters, switch
+    ):
+        # longer descents of a few points are chaotic under rounding (after 10
+        # steps at N = 24 the float32 and float64 oracle loops are 2.3e-3 of
+        # max|points| apart), so the points are compared after one or two
+        # steps only, with the momentum switch moved to step 1 to reach the
+        # final momentum
+        monkeypatch.setattr(reduce, "MOMENTUM_SWITCH_ITER", switch)
         rng = np.random.default_rng(n)
         centers = rng.normal(0.0, 6.0, size=(3, 8))
         X = centers[np.arange(n) % 3] + rng.normal(size=(n, 8))
-        cfg = dataclasses.replace(TsneConfig(iterations=300), **overrides)
+        cfg = TsneConfig(iterations=iterations, exaggeration_iters=exaggeration_iters)
         emb = tsne_reduce(X, 2, cfg)
         P, Y0 = tsne_start(X, 2, cfg)
-        # the descent runs in float32; the oracle runs in its inputs' dtype
-        points, trace = oracles.tsne_descent(
-            P.astype(np.float32), Y0.astype(np.float32),
-            iterations=cfg.iterations,
-            exaggeration_iters=cfg.exaggeration_iters,
-            # the reference step rule as literals, so a changed constant fails here
-            learning_rate=200.0,
-            early_exaggeration=12.0,
-            momentum_start=0.5,
-            momentum_final=0.8,
-            momentum_switch_iter=250,
+        # the oracle in float64 from the descent's float32 inputs; the float32
+        # oracle loop is itself up to 3.7e-6 of max|points| away from it here
+        points, oracle_trace = oracles.tsne_descent(
+            P.astype(np.float32).astype(np.float64), Y0.astype(np.float32).astype(np.float64),
+            iterations=iterations, exaggeration_iters=exaggeration_iters,
+            learning_rate=200.0, early_exaggeration=12.0, momentum_start=0.5,
+            momentum_final=0.8, momentum_switch_iter=switch,
         )
-        assert not emb.warnings
-        assert points.dtype == np.float32 and emb.points.dtype == np.float64
-        assert np.array_equal(emb.points, points)
-        # the KL is computed at the scheduled entries only, NaN elsewhere;
-        # finish_tsne computes the last entry in float64 at the final points
-        steps = kl_trace_steps(cfg.iterations, cfg.exaggeration_iters)
-        expected = np.full(cfg.iterations, np.nan)
-        expected[steps] = np.asarray(trace)[steps]
-        expected[-1] = oracles.tsne_kl_and_grad(P, points.astype(np.float64))[0]
-        assert np.array_equal(np.asarray(emb.kl_trace), expected, equal_nan=True)
-        assert len(emb.kl_trace) == cfg.iterations
+        assert not emb.warnings and emb.points.dtype == np.float64
+        assert np.abs(emb.points - points).max() <= 1e-5 * np.abs(points).max()
+        # the KL at the scheduled entries only, NaN elsewhere: float32 entries
+        # from the descent, and the last from finish_tsne in float64 at the
+        # final points
+        steps = kl_trace_steps(iterations, exaggeration_iters)
+        trace = np.asarray(emb.kl_trace)
+        assert len(trace) == iterations
+        assert np.flatnonzero(np.isfinite(trace)).tolist() == steps
+        for t in steps[:-1]:
+            assert abs(trace[t] - oracle_trace[t]) <= 1e-5 * oracle_trace[t]
+        kl = oracles.tsne_kl_and_grad(P, emb.points)[0]
+        assert abs(trace[-1] - kl) <= 1e-12 * kl
 
+    @pytest.mark.parametrize("n", [5, 24, 160, 320])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 5e-6)])
+    def test_kernel_within_tolerance_of_oracle(self, dtype, tol, d, n):
+        # measured over 20 seeds: 1.9e-15 in float64 and 4.0e-7 in float32
+        for seed in range(5):
+            P, Y = random_affinities(n, seed=seed, d=d)
+            P, Y = P.astype(dtype), Y.astype(dtype)
+            P_grad = np.maximum(P * dtype(12.0), dtype(1e-12))
+            kl, grad = kl_divergence_and_grad(P, Y, P_grad)
+            assert grad.dtype == dtype and grad.shape == (n, d)
+            # the oracle in float64 from the same inputs
+            P, Y, P_grad = (m.astype(np.float64) for m in (P, Y, P_grad))
+            kl_ref = oracles.tsne_kl_and_grad(P, Y)[0]
+            grad_ref = oracles.tsne_kl_and_grad(P_grad, Y)[1]
+            assert abs(kl - kl_ref) <= tol * abs(kl_ref)
+            assert np.abs(grad - grad_ref).max() <= tol * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [5, 24, 160])
-    def test_kernel_same_with_and_without_work(self, n):
-        P, Y = random_affinities(n, seed=n)
-        P_grad = np.maximum(P * 12.0, 1e-12)
-        work = tuple(np.full((n, n), np.nan) for _ in range(3))
+    def test_kernel_same_with_and_without_work(self, n, dtype):
+        P, Y = (m.astype(dtype) for m in random_affinities(n, seed=n))
+        P_grad = np.maximum(P * dtype(12.0), dtype(1e-12))
+        work = tuple(np.full((n, n), np.nan, dtype=dtype) for _ in range(3))
         kl, grad = kl_divergence_and_grad(P, Y, P_grad)
         kl_w, grad_w = kl_divergence_and_grad(P, Y, P_grad, work)
         assert kl == kl_w and np.array_equal(grad, grad_w)
-        # and both halves agree with the two-call reference kernel
-        assert kl == oracles.tsne_kl_and_grad(P, Y)[0]
-        assert np.array_equal(grad, oracles.tsne_kl_and_grad(P_grad, Y)[1])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [5, 24, 160])
-    def test_kernel_without_kl_gives_the_same_gradient(self, n):
-        P, Y = random_affinities(n, seed=n)
-        P_grad = np.maximum(P * 12.0, 1e-12)
-        work = tuple(np.full((n, n), np.nan) for _ in range(3))
+    def test_kernel_without_kl_gives_the_same_gradient(self, n, dtype):
+        P, Y = (m.astype(dtype) for m in random_affinities(n, seed=n))
+        P_grad = np.maximum(P * dtype(12.0), dtype(1e-12))
+        work = tuple(np.full((n, n), np.nan, dtype=dtype) for _ in range(3))
         kl, grad = kl_divergence_and_grad(P, Y, P_grad, work, with_kl=False)
         assert np.isnan(kl)
         assert np.array_equal(grad, kl_divergence_and_grad(P, Y, P_grad)[1])
-        assert np.array_equal(grad, oracles.tsne_kl_and_grad(P_grad, Y)[1])
 
     @pytest.mark.parametrize(
         "iterations, exaggeration_iters, steps",
@@ -480,7 +501,7 @@ class TestFloat32Descent:
     final KL stays at that of the float64 descent it replaced."""
 
     def test_mean_final_kl_within_0_02_of_float64(self, blob_pool_descents):
-        # measured mean gaps over seeds 0-3: -0.0069 to +0.0037
+        # measured mean gaps over seeds 0-3: -0.0083 to +0.0068
         kl32, kl64 = [], []
         for P, start, _, kl_trace, _ in blob_pool_descents:
             points64, _ = oracles.tsne_descent(
